@@ -32,7 +32,6 @@ from .model import (
     ValidationReport,
     feedback_reduce,
     feedback_shift,
-    identity_system,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -42,13 +41,9 @@ from .model import (
 )
 from .transfer import (
     FilterStage,
-    FrequencyResponse,
     PhotonTransfer,
     cascade,
-    frequency_response,
     from_model,
-    identity_filter,
-    impulse_response,
 )
 from .pulses import (
     GridSpanError,
@@ -106,7 +101,6 @@ __all__ = [
     "series_product",
     "feedback_reduce",
     "feedback_shift",
-    "identity_system",
     "model_to_dict",
     "model_from_dict",
     "load_model",
@@ -114,12 +108,8 @@ __all__ = [
     # transfer
     "FilterStage",
     "PhotonTransfer",
-    "FrequencyResponse",
     "from_model",
-    "identity_filter",
-    "frequency_response",
     "cascade",
-    "impulse_response",
     # pulses
     "TimeGrid",
     "Pulse",

@@ -27,6 +27,7 @@ from .model import (
     series_product,
     validate_model,
 )
+from .operators import DEFAULT_TOL
 from .oracles import (
     TwoLevelParams,
     feedback_g,
@@ -40,17 +41,15 @@ from .pulses import (
     PulseSpec,
     TimeGrid,
     parse_pulse_spec,
+    pulse_table,
     read_pulse_csv,
     rising_exp_pulse,
     shape_fft,
     shape_ode,
     write_pulse_csv,
+    write_table,
 )
 from .transfer import PhotonTransfer, from_model
-
-DEFAULT_CONDITION_TOL = 1e-10
-
-_FMT = "{:.16e}".format
 
 
 class CLIError(Exception):
@@ -74,7 +73,7 @@ def _condition_tol(args) -> float:
             return float(env)
         except ValueError as exc:
             raise CLIError(f"PHOTON_SLH_TOL is not a number: {env!r}") from exc
-    return DEFAULT_CONDITION_TOL
+    return DEFAULT_TOL
 
 
 def _parse_range(text: str, name: str) -> np.ndarray:
@@ -93,13 +92,10 @@ def _parse_range(text: str, name: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _emit(lines, path) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _abs2(z: np.ndarray) -> np.ndarray:
+    # Same rounding as the per-element ``abs(z) ** 2`` (libm hypot, then pow);
+    # np.abs(z) ** 2 uses a SIMD modulus and x*x, which can differ in the last bit.
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 def _load_model_checked(path):
@@ -165,10 +161,6 @@ def _default_pulse_params(kind: str, grid: TimeGrid, pole) -> dict:
 def _cmd_shape(args) -> int:
     tol = _condition_tol(args)
     m = _load_model_checked(args.model)
-    report = validate_model(m, tol=tol)
-    if not report.passed:
-        print(json.dumps(report.to_dict(), indent=2), file=sys.stderr)
-        return 2
     filt = from_model(m, tol=tol)
     if args.cascade < 1:
         raise CLIError("--cascade must be at least 1")
@@ -268,24 +260,20 @@ def _cmd_compose(args) -> int:
 
 def _cmd_sweep(args) -> int:
     tol = _condition_tol(args)
-    m = _load_model_checked(args.model)
-    report = validate_model(m, tol=tol)
-    if not report.passed:
-        print(json.dumps(report.to_dict(), indent=2), file=sys.stderr)
-        return 2
-    filt = from_model(m, tol=tol)
+    filt = from_model(_load_model_checked(args.model), tol=tol)
     omegas = _parse_range(args.omega, "omega")
-    values = filt.response_matrix(omegas)
-    k = filt.channels
-    lines = ["omega,i,j,re,im,abs2"]
-    for idx, w in enumerate(omegas):
-        for i in range(k):
-            for j in range(k):
-                z = values[idx, i, j]
-                lines.append(
-                    f"{_FMT(w)},{i + 1},{j + 1},{_FMT(z.real)},{_FMT(z.imag)},{_FMT(abs(z) ** 2)}"
-                )
-    _emit(lines, args.output)
+    z = filt.response_matrix(omegas).reshape(-1)
+    n, k = omegas.size, filt.channels
+    ch = np.arange(1, k + 1)
+    columns = (
+        np.repeat(omegas, k * k),
+        np.tile(np.repeat(ch, k), n),
+        np.tile(ch, n * k),
+        z.real,
+        z.imag,
+        _abs2(z),
+    )
+    write_table(args.output, "omega,i,j,re,im,abs2", "%.16e,%d,%d,%.16e,%.16e,%.16e\n", columns)
     return 0
 
 
@@ -311,72 +299,67 @@ def _scattering_from_args(args) -> np.ndarray:
     return _SCATTERING_PRESETS[args.scattering]
 
 
+def _response_table(g):
+    """Oracle tabulating a scalar response ``g(args, omegas)`` over ``--omega``."""
+
+    def table(args):
+        omegas = _parse_range(args.omega, "omega")
+        z = np.atleast_1d(g(args, omegas))
+        columns = (omegas, z.real, z.imag, _abs2(z))
+        return "omega,re,im,abs2", "%.16e,%.16e,%.16e,%.16e\n", columns
+
+    return table
+
+
+def _two_channel_table(args):
+    omegas = _parse_range(args.omega, "omega")
+    g1, g2 = map(np.atleast_1d, two_channel_g(args.kappa1, args.kappa2, args.omega_c, omegas))
+    columns = (omegas, g1.real, g1.imag, g2.real, g2.imag, _abs2(g1) + _abs2(g2))
+    return (
+        "omega,g1_re,g1_im,g2_re,g2_im,abs2_sum",
+        "%.16e,%.16e,%.16e,%.16e,%.16e,%.16e\n",
+        columns,
+    )
+
+
+def _memory_kernel_table(args):
+    ts = _parse_range(args.t, "t")
+    if np.any(ts < 0):
+        raise CLIError("--t range must be nonnegative: the kernel is causal")
+    z = np.atleast_1d(memory_kernel(args.n, TwoLevelParams(args.kappa, args.omega_c), ts))
+    return "t,re,im", "%.16e,%.16e,%.16e\n", (ts, z.real, z.imag)
+
+
+def _inverting_pulse_table(args):
+    if not 8 <= args.log2_n <= 22:
+        raise CLIError(f"--log2-n must be in [8, 22], got {args.log2_n}")
+    n = 2**args.log2_n
+    span = 40.0 / args.kappa if args.dt is None else n * args.dt
+    dt = span / n
+    t_start = args.t_start if args.t_start is not None else -0.75 * span
+    grid = TimeGrid(t_start=t_start, dt=dt, n=n)
+    return pulse_table(rising_exp_pulse(grid, args.kappa, args.omega_c))
+
+
+# Which oracle writes which table: name -> args -> (header, row template, columns).
+_ORACLE_TABLES = {
+    "two-level-g": _response_table(
+        lambda a, w: two_level_g(TwoLevelParams(a.kappa, a.omega_c), w)
+    ),
+    "two-channel-g": _two_channel_table,
+    "memory-g": _response_table(
+        lambda a, w: memory_g(a.n, TwoLevelParams(a.kappa, a.omega_c), w)
+    ),
+    "memory-kernel": _memory_kernel_table,
+    "inverting-pulse": _inverting_pulse_table,
+    "feedback-g": _response_table(
+        lambda a, w: feedback_g(_scattering_from_args(a), a.kappa1, a.kappa2, a.omega_c, w)
+    ),
+}
+
+
 def _cmd_oracle(args) -> int:
-    which = args.which
-    if which == "two-level-g":
-        omegas = _parse_range(args.omega, "omega")
-        vals = two_level_g(TwoLevelParams(args.kappa, args.omega_c), omegas)
-        lines = ["omega,re,im,abs2"]
-        lines += [
-            f"{_FMT(w)},{_FMT(z.real)},{_FMT(z.imag)},{_FMT(abs(z) ** 2)}"
-            for w, z in zip(omegas, np.atleast_1d(vals))
-        ]
-    elif which == "two-channel-g":
-        omegas = _parse_range(args.omega, "omega")
-        g1, g2 = two_channel_g(args.kappa1, args.kappa2, args.omega_c, omegas)
-        g1 = np.atleast_1d(g1)
-        g2 = np.atleast_1d(g2)
-        lines = ["omega,g1_re,g1_im,g2_re,g2_im,abs2_sum"]
-        lines += [
-            f"{_FMT(w)},{_FMT(a.real)},{_FMT(a.imag)},{_FMT(b.real)},{_FMT(b.imag)},"
-            f"{_FMT(abs(a) ** 2 + abs(b) ** 2)}"
-            for w, a, b in zip(omegas, g1, g2)
-        ]
-    elif which == "memory-g":
-        omegas = _parse_range(args.omega, "omega")
-        vals = memory_g(args.n, TwoLevelParams(args.kappa, args.omega_c), omegas)
-        lines = ["omega,re,im,abs2"]
-        lines += [
-            f"{_FMT(w)},{_FMT(z.real)},{_FMT(z.imag)},{_FMT(abs(z) ** 2)}"
-            for w, z in zip(omegas, np.atleast_1d(vals))
-        ]
-    elif which == "memory-kernel":
-        ts = _parse_range(args.t, "t")
-        if np.any(ts < 0):
-            raise CLIError("--t range must be nonnegative: the kernel is causal")
-        vals = memory_kernel(args.n, TwoLevelParams(args.kappa, args.omega_c), ts)
-        lines = ["t,re,im"]
-        lines += [
-            f"{_FMT(t)},{_FMT(z.real)},{_FMT(z.imag)}"
-            for t, z in zip(ts, np.atleast_1d(vals))
-        ]
-    elif which == "inverting-pulse":
-        if not 8 <= args.log2_n <= 22:
-            raise CLIError(f"--log2-n must be in [8, 22], got {args.log2_n}")
-        n = 2**args.log2_n
-        span = 40.0 / args.kappa if args.dt is None else n * args.dt
-        dt = span / n
-        t_start = args.t_start if args.t_start is not None else -0.75 * span
-        grid = TimeGrid(t_start=t_start, dt=dt, n=n)
-        pulse = rising_exp_pulse(grid, args.kappa, args.omega_c)
-        t = grid.times()
-        lines = ["t,ch,re,im"]
-        lines += [
-            f"{_FMT(t[i])},0,{_FMT(pulse.samples[i, 0].real)},{_FMT(pulse.samples[i, 0].imag)}"
-            for i in range(grid.n)
-        ]
-    elif which == "feedback-g":
-        omegas = _parse_range(args.omega, "omega")
-        s = _scattering_from_args(args)
-        vals = feedback_g(s, args.kappa1, args.kappa2, args.omega_c, omegas)
-        lines = ["omega,re,im,abs2"]
-        lines += [
-            f"{_FMT(w)},{_FMT(z.real)},{_FMT(z.imag)},{_FMT(abs(z) ** 2)}"
-            for w, z in zip(omegas, np.atleast_1d(vals))
-        ]
-    else:  # pragma: no cover - argparse restricts choices
-        raise CLIError(f"unknown oracle {which!r}")
-    _emit(lines, args.output)
+    write_table(args.output, *_ORACLE_TABLES[args.which](args))
     return 0
 
 
@@ -436,17 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_or = sub.add_parser("oracle", help="evaluate a closed-form reference response")
-    p_or.add_argument(
-        "which",
-        choices=(
-            "two-level-g",
-            "two-channel-g",
-            "memory-g",
-            "memory-kernel",
-            "inverting-pulse",
-            "feedback-g",
-        ),
-    )
+    p_or.add_argument("which", choices=tuple(_ORACLE_TABLES))
     p_or.add_argument("--kappa", type=float, default=1.0)
     p_or.add_argument("--kappa1", type=float, default=1.0)
     p_or.add_argument("--kappa2", type=float, default=1.0)

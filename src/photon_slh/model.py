@@ -58,7 +58,6 @@ __all__ = [
     "series_product",
     "feedback_reduce",
     "feedback_shift",
-    "identity_system",
     "model_to_dict",
     "model_from_dict",
     "load_model",
@@ -438,16 +437,6 @@ def feedback_reduce(m: SLHModel) -> SLHModel:
     shift = feedback_shift(m)
     h_red = m.H0 + shift * (m.L0.dagger() @ m.L0)
     return SLHModel.factored(s_red, theta_red, m.L0, h_red)
-
-
-def identity_system(levels: int, channels: int) -> SLHModel:
-    """Pass-through system: ``S = I``, no coupling, no Hamiltonian."""
-    return SLHModel.factored(
-        np.eye(channels, dtype=complex),
-        np.zeros(channels, dtype=complex),
-        zero(levels),
-        zero(levels),
-    )
 
 
 # ---------------------------------------------------------------------------

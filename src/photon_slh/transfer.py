@@ -26,12 +26,8 @@ from .operators import DEFAULT_TOL
 __all__ = [
     "FilterStage",
     "PhotonTransfer",
-    "FrequencyResponse",
     "from_model",
-    "identity_filter",
-    "frequency_response",
     "cascade",
-    "impulse_response",
 ]
 
 #: Absolute residual allowed in the construction self-test at w = 0.
@@ -150,30 +146,6 @@ class PhotonTransfer:
         return total
 
 
-@dataclass(frozen=True, eq=False)
-class FrequencyResponse:
-    """Response samples on a uniform, strictly increasing frequency grid."""
-
-    omegas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.omegas, dtype=float).reshape(-1)
-        v = np.array(self.values, dtype=complex)
-        if w.size != v.shape[0]:
-            raise ValueError("omegas and values length mismatch")
-        if w.size > 1:
-            steps = np.diff(w)
-            if np.any(steps <= 0):
-                raise ValueError("frequency grid must be strictly increasing")
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-                raise ValueError("frequency grid must be uniform")
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "omegas", w)
-        object.__setattr__(self, "values", v)
-
-
 def from_model(m: SLHModel, tol: float = DEFAULT_TOL) -> PhotonTransfer:
     """Extract the single-stage filter of a model that passes the condition check.
 
@@ -189,48 +161,9 @@ def from_model(m: SLHModel, tol: float = DEFAULT_TOL) -> PhotonTransfer:
     )
 
 
-def identity_filter(channels: int = 1) -> PhotonTransfer:
-    """Pass-through filter ``G(i w) = I`` (zero coupling, artificial pole -1)."""
-    return PhotonTransfer(
-        stages=(
-            FilterStage(
-                S=np.eye(channels, dtype=complex),
-                theta=np.zeros(channels, dtype=complex),
-                h=0.0,
-                a=-1.0 + 0.0j,
-            ),
-        )
-    )
-
-
-def frequency_response(f: PhotonTransfer, omegas: np.ndarray) -> FrequencyResponse:
-    """Evaluate the cascade response on a uniform frequency grid."""
-    return FrequencyResponse(omegas=np.asarray(omegas, dtype=float), values=f.response_matrix(omegas))
-
-
 def cascade(f1: PhotonTransfer, f2: PhotonTransfer) -> PhotonTransfer:
     """Compose filters, ``f2`` after ``f1``; responses multiply in that order."""
     if f1.channels != f2.channels:
         raise ValueError(f"channel count mismatch: {f1.channels} vs {f2.channels}")
     return PhotonTransfer(stages=f1.stages + f2.stages)
 
-
-def impulse_response(f: PhotonTransfer, ts: np.ndarray):
-    """Sample the smooth kernel of a single-stage filter; the delta is returned apart.
-
-    Returns ``(smooth, feedthrough)`` where ``smooth[n] = h theta theta^dag
-    exp(a t_n) S`` for ``t_n >= 0`` and exactly zero before, and
-    ``feedthrough`` is the delta coefficient ``S``.  Cascades have no
-    single-pole kernel; use the frequency-domain path for them.
-    """
-    if len(f.stages) != 1:
-        raise ValueError(
-            "impulse_response is defined for single-stage filters; "
-            "evaluate cascades through the frequency-domain shaping path"
-        )
-    st = f.stages[0]
-    t = np.asarray(ts, dtype=float).reshape(-1)
-    smooth = np.zeros((t.size, st.channels, st.channels), dtype=complex)
-    mask = t >= 0.0
-    smooth[mask] = np.exp(st.a * t[mask])[:, None, None] * st.kernel_matrix[None, :, :]
-    return smooth, st.S.copy()

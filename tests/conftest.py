@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from photon_slh import SLHModel, sigma_minus, sigma_z
+from photon_slh import FilterStage, PhotonTransfer, SLHModel, sigma_minus, sigma_z
 
 
 def two_level_model(kappa: float, omega_c: float) -> SLHModel:
@@ -24,6 +24,12 @@ def two_channel_model(kappa1: float, kappa2: float, omega_c: float, S=None) -> S
         sigma_minus(),
         (omega_c / 2.0) * sigma_z(),
     )
+
+
+def uncoupled_filter(channels: int) -> PhotonTransfer:
+    """One stage with no coupling, so ``G(i w) = I`` whatever its (stable) pole."""
+    stage = FilterStage(S=np.eye(channels), theta=np.zeros(channels), h=0.0, a=-1.0)
+    return PhotonTransfer(stages=(stage,))
 
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

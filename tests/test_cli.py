@@ -166,11 +166,47 @@ class TestShape:
         got = read_pulse_csv(out)
         assert np.max(np.abs(got.samples - expected.samples)) < 1e-15
 
+    @pytest.mark.parametrize("defect", ["missing", "duplicate", "negative-channel"])
+    def test_malformed_csv_pulse_exits_1(self, model_path, swap_path, tmp_path, capsys, defect):
+        grid = TimeGrid(t_start=-24.0, dt=48.0 / 2**12, n=2**12)
+        channels = 1 if defect == "negative-channel" else 2
+        pulse_path = tmp_path / "in.csv"
+        write_pulse_csv(gaussian_pulse(grid, t0=-8.0, sigma=0.8, channels=channels), pulse_path)
+        lines = pulse_path.read_text().splitlines(keepends=True)
+        if defect == "missing":
+            del lines[100]
+        elif defect == "duplicate":
+            lines.append(lines[100])
+        else:
+            lines[1:] = [line.replace(",0,", ",-1,") for line in lines[1:]]
+        pulse_path.write_text("".join(lines))
+        model = model_path if channels == 1 else swap_path
+        out = tmp_path / "out.csv"
+        code = main(["shape", str(model), "--pulse", f"csv:{pulse_path}", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: pulse CSV")
+        assert not out.exists()
+
+    def test_csv_pulse_far_from_origin(self, tmp_path):
+        # |t_start| / dt = 1e7: the written times round by more than 1e-9 dt
+        model_path = tmp_path / "fast.json"
+        save_model(two_level_model(16.0, 0.0), model_path)
+        grid = TimeGrid(t_start=1e4, dt=1e-3, n=2**12)
+        pulse = gaussian_pulse(grid, t0=1e4 + 1.0, sigma=0.1)
+        pulse_path = tmp_path / "in.csv"
+        write_pulse_csv(pulse, pulse_path)
+        out = tmp_path / "out.csv"
+        code = main(["shape", str(model_path), "--pulse", f"csv:{pulse_path}", "-o", str(out)])
+        assert code == 0
+        expected = shape_fft(read_pulse_csv(pulse_path), from_model(two_level_model(16.0, 0.0)))
+        assert np.max(np.abs(read_pulse_csv(out).samples - expected.samples)) < 1e-15
+
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         bad = SLHModel.factored(np.array([[1.0]]), [0.0], zero(2), zero(2))
         path = tmp_path / "bad.json"
         save_model(bad, path)
         assert main(["shape", str(path), "-o", str(tmp_path / "x.csv")]) == 2
+        assert json.loads(capsys.readouterr().err)["passed"] is False
 
     def test_unknown_pulse_kind(self, model_path, tmp_path):
         assert (
@@ -281,11 +317,39 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
 
-    def test_validation_failure(self, tmp_path):
+    def test_validation_failure(self, tmp_path, capsys):
         bad = SLHModel.factored(np.array([[1.0]]), [0.0], zero(2), zero(2))
         path = tmp_path / "bad.json"
         save_model(bad, path)
         assert main(["sweep", str(path), "--omega", "0:1:2"]) == 2
+        assert json.loads(capsys.readouterr().err)["passed"] is False
+
+    def test_table_text(self, tmp_path, capsys):
+        # kappa = 1, omega_c = 0: G(iw) = 1 - 1/(iw + 1/2), exact at these points
+        one = tmp_path / "one.json"
+        save_model(two_level_model(1.0, 0.0), one)
+        assert main(["sweep", str(one), "--omega=-0.5:0.5:3"]) == 0
+        assert capsys.readouterr().out == (
+            "omega,i,j,re,im,abs2\n"
+            "-5.0000000000000000e-01,1,1,0.0000000000000000e+00,-1.0000000000000000e+00,"
+            "1.0000000000000000e+00\n"
+            "0.0000000000000000e+00,1,1,-1.0000000000000000e+00,0.0000000000000000e+00,"
+            "1.0000000000000000e+00\n"
+            "5.0000000000000000e-01,1,1,0.0000000000000000e+00,1.0000000000000000e+00,"
+            "1.0000000000000000e+00\n"
+        )
+        # theta = (1, 1), S = I: G(0) = I - [[1, 1], [1, 1]]
+        two = tmp_path / "two.json"
+        save_model(two_channel_model(1.0, 1.0, 0.0), two)
+        assert main(["sweep", str(two), "--omega=0:0:1"]) == 0
+        zero_, one_ = "0.0000000000000000e+00", "1.0000000000000000e+00"
+        assert capsys.readouterr().out == (
+            "omega,i,j,re,im,abs2\n"
+            f"{zero_},1,1,{zero_},{zero_},{zero_}\n"
+            f"{zero_},1,2,-{one_},{zero_},{one_}\n"
+            f"{zero_},2,1,-{one_},{zero_},{one_}\n"
+            f"{zero_},2,2,{zero_},{zero_},{zero_}\n"
+        )
 
     def test_bad_range(self, model_path):
         assert main(["sweep", str(model_path), "--omega", "0:1"]) == 1
@@ -340,6 +404,72 @@ class TestOracleCommand:
         assert main(["oracle", "feedback-g", "--scattering", "bs50"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "omega,re,im,abs2"
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (
+                ["two-level-g", "--kappa", "1", "--omega=-0.5:0.5:3"],
+                "omega,re,im,abs2\n"
+                "-5.0000000000000000e-01,0.0000000000000000e+00,-1.0000000000000000e+00,"
+                "1.0000000000000000e+00\n"
+                "0.0000000000000000e+00,-1.0000000000000000e+00,0.0000000000000000e+00,"
+                "1.0000000000000000e+00\n"
+                "5.0000000000000000e-01,0.0000000000000000e+00,1.0000000000000000e+00,"
+                "1.0000000000000000e+00\n",
+            ),
+            (
+                ["two-channel-g", "--kappa1", "1", "--kappa2", "1", "--omega=0:0:1"],
+                "omega,g1_re,g1_im,g2_re,g2_im,abs2_sum\n"
+                "0.0000000000000000e+00,0.0000000000000000e+00,0.0000000000000000e+00,"
+                "1.0000000000000000e+00,0.0000000000000000e+00,1.0000000000000000e+00\n",
+            ),
+            (
+                ["memory-g", "--n", "2", "--omega=0:0:1"],
+                "omega,re,im,abs2\n"
+                "0.0000000000000000e+00,1.0000000000000000e+00,-0.0000000000000000e+00,"
+                "1.0000000000000000e+00\n",
+            ),
+            (
+                ["memory-kernel", "--n", "2", "--kappa", "1", "--t", "0:0:1"],
+                "t,re,im\n0.0000000000000000e+00,-2.0000000000000000e+00,0.0000000000000000e+00\n",
+            ),
+            (
+                ["feedback-g", "--omega=0:0:1"],
+                "omega,re,im,abs2\n"
+                "0.0000000000000000e+00,-1.0000000000000000e+00,0.0000000000000000e+00,"
+                "1.0000000000000000e+00\n",
+            ),
+            (
+                # the pulse is -1 at its midpoint-sampled edge t = 0 and zero after
+                ["inverting-pulse", "--kappa", "4", "--log2-n", "8", "--dt", "0.25",
+                 "--t-start", "0"],
+                "t,ch,re,im\n0.0000000000000000e+00,0,-1.0000000000000000e+00,0.0000000000000000e+00\n"
+                + "".join(
+                    f"{0.25 * i:.16e},0,-0.0000000000000000e+00,0.0000000000000000e+00\n"
+                    for i in range(1, 256)
+                ),
+            ),
+        ],
+        ids=["two-level-g", "two-channel-g", "memory-g", "memory-kernel", "inverting-pulse",
+             "feedback-g"],
+    )
+    def test_table_text(self, capsys, argv, text):
+        assert main(["oracle", *argv]) == 0
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize(
+        "which",
+        ["two-level-g", "two-channel-g", "memory-g", "memory-kernel", "inverting-pulse",
+         "feedback-g"],
+    )
+    def test_output_file_matches_stdout(self, tmp_path, capsys, which):
+        assert main(["oracle", which]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "table.csv"
+        assert main(["oracle", which, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
 
     def test_feedback_g_explicit_matrix_singular(self, capsys):
         code = main(

@@ -10,7 +10,6 @@ from photon_slh import (
     embed_site,
     feedback_reduce,
     feedback_shift,
-    identity_system,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -130,7 +129,8 @@ class TestValidateModel:
 class TestSeriesProduct:
     def test_identity_leaves_system_unchanged(self):
         m = two_level_model(1.3, 0.4)
-        out = series_product(identity_system(2, 1), m)
+        passthrough = SLHModel.factored(np.eye(1), [0.0], zero(2), zero(2))
+        out = series_product(passthrough, m)
         assert np.allclose(out.S, m.S)
         assert np.max(np.abs(out.L[0].mat - m.L[0].mat)) == 0.0
         assert np.max(np.abs(out.H0.mat - m.H0.mat)) == 0.0

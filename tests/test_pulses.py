@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from photon_slh import (
     GridSpanError,
@@ -11,7 +14,6 @@ from photon_slh import (
     fourier,
     from_model,
     gaussian_pulse,
-    identity_filter,
     inverse_fourier,
     normalize,
     read_pulse_csv,
@@ -23,7 +25,7 @@ from photon_slh import (
     write_spectrum_csv,
 )
 from photon_slh.pulses import parse_pulse_spec
-from conftest import two_channel_model, two_level_model
+from conftest import two_channel_model, two_level_model, uncoupled_filter
 
 
 def offset_grid(span: float, log2_n: int = 14) -> TimeGrid:
@@ -185,7 +187,7 @@ class TestShapeFft:
         grid = offset_grid(10.0, 10)
         samples = rng.normal(size=(grid.n, 1)) + 1j * rng.normal(size=(grid.n, 1))
         p = Pulse(grid=grid, samples=samples)
-        out = shape_fft(p, identity_filter(1))
+        out = shape_fft(p, uncoupled_filter(1))
         assert np.max(np.abs(out.samples - p.samples)) < 1e-12
 
     def test_gaussian_norm_preserved(self):
@@ -322,6 +324,86 @@ class TestCsvFormats:
         path.write_text("t,ch,re,im\n0.0,0,1.0,0.0\n1.0,0,1.0,0.0\n2.0,0,1.0,0.0\n4.5,0,1.0,0.0\n")
         with pytest.raises(ValueError, match="uniform"):
             read_pulse_csv(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        t_start=st.floats(-1e4, 1e4),
+        dt=st.floats(1e-6, 1e2),
+        log2_n=st.integers(1, 8),
+        channels=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_pulse_round_trip_property(self, tmp_path, t_start, dt, log2_n, channels, data):
+        grid = TimeGrid(t_start=t_start, dt=dt, n=2**log2_n)
+        parts = data.draw(hnp.arrays(
+            np.float64, (grid.n, channels, 2),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ))
+        p = Pulse(grid=grid, samples=parts[..., 0] + 1j * parts[..., 1])
+        path = tmp_path / "pulse.csv"
+        write_pulse_csv(p, path)
+        back = read_pulse_csv(path)
+        assert back.grid.n == grid.n
+        assert back.grid.t_start == grid.t_start
+        assert back.grid.dt == pytest.approx(grid.dt, rel=1e-6)
+        # bit-exact, signed zeros included
+        assert np.array_equal(back.samples.view(np.uint64), p.samples.view(np.uint64))
+
+    def test_large_offset_grid_accepted(self, tmp_path):
+        # |t_start| / dt = 1e7: written times round by more than 1e-9 dt
+        grid = TimeGrid(t_start=1e4, dt=1e-3, n=2**10)
+        p = gaussian_pulse(grid, t0=1e4 + 0.5, sigma=0.05)
+        path = tmp_path / "far.csv"
+        write_pulse_csv(p, path)
+        back = read_pulse_csv(path)
+        assert back.grid.t_start == grid.t_start
+        assert np.array_equal(back.samples, p.samples)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0.0,0,1.0,0.0\n1.0,0,1.0,0.0\n0.0,1,1.0,0.0\n",  # (1, 1) missing
+            "0.0,0,1.0,0.0\n1.0,0,1.0,0.0\n1.0,0,2.0,0.0\n",  # (1, 0) twice
+            "0.0,0,1.0,0.0\n1.0,0,1.0,0.0\n0.0,1,1.0,0.0\n1.0,1,1.0,0.0\n"
+            "0.0,1,1.0,0.0\n0.0,2,1.0,0.0\n",  # (0, 1) twice, (1, 2) missing
+            "0.0,-1,1.0,0.0\n1.0,-1,1.0,0.0\n",
+            "0.0,0.5,1.0,0.0\n1.0,0.5,1.0,0.0\n",
+            "0.0,0,1.0,0.0\n1.0,0,1.0\n",
+            "0.0,0,1.0,0.0\nnan,0,1.0,0.0\n",
+            "0.0,0,1.0,0.0\n1.0,1e300,1.0,0.0\n",
+        ],
+        ids=["missing", "duplicate", "duplicate-and-missing", "negative-channel",
+             "fractional-channel", "short-row", "nan-time", "huge-channel"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,ch,re,im\n" + body)
+        with pytest.raises(ValueError):
+            read_pulse_csv(path)
+
+    def test_pulse_table_text(self, tmp_path):
+        grid = TimeGrid(t_start=-1.0, dt=0.5, n=2)
+        p = Pulse(grid=grid, samples=np.array([[1.0 + 0.25j, -2.0], [0.0, 1j]]))
+        path = tmp_path / "pulse.csv"
+        write_pulse_csv(p, path)
+        assert path.read_bytes() == (
+            b"t,ch,re,im\n"
+            b"-1.0000000000000000e+00,0,1.0000000000000000e+00,2.5000000000000000e-01\n"
+            b"-1.0000000000000000e+00,1,-2.0000000000000000e+00,0.0000000000000000e+00\n"
+            b"-5.0000000000000000e-01,0,0.0000000000000000e+00,0.0000000000000000e+00\n"
+            b"-5.0000000000000000e-01,1,0.0000000000000000e+00,1.0000000000000000e+00\n"
+        )
+
+    def test_spectrum_table_text(self, tmp_path):
+        spec = PulseSpectrum(omegas=[-0.5, 3.0], values=[0.5 - 4.0j, 0.0 - 0.125j])
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(spec, path)
+        assert path.read_bytes() == (
+            b"omega,ch,re,im\n"
+            b"-5.0000000000000000e-01,0,5.0000000000000000e-01,-4.0000000000000000e+00\n"
+            b"3.0000000000000000e+00,0,0.0000000000000000e+00,-1.2500000000000000e-01\n"
+        )
 
     def test_spectrum_csv(self, tmp_path):
         p = gaussian_pulse(offset_grid(10.0, 8), 0.0, 1.0)

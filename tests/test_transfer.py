@@ -3,20 +3,15 @@ import pytest
 
 from photon_slh import (
     FilterStage,
-    FrequencyResponse,
     ModelValidationError,
-    PhotonTransfer,
     TwoLevelParams,
     cascade,
-    frequency_response,
     from_model,
-    identity_filter,
-    impulse_response,
     memory_g,
     two_channel_g,
     two_level_g,
 )
-from conftest import two_channel_model, two_level_model
+from conftest import two_channel_model, two_level_model, uncoupled_filter
 
 
 class TestFromModel:
@@ -58,7 +53,7 @@ class TestFromModel:
         assert np.max(np.abs(got[:, 1, 0] + g2)) < 1e-14
 
     def test_identity_filter_is_flat(self):
-        f = identity_filter(2)
+        f = uncoupled_filter(2)
         g = f.response_matrix(np.linspace(-5, 5, 11))
         assert np.max(np.abs(g - np.eye(2))) == 0.0
 
@@ -75,23 +70,6 @@ class TestStage:
     def test_channel_shape_checked(self):
         with pytest.raises(ValueError, match="theta"):
             FilterStage(S=np.eye(2), theta=np.array([1.0]), h=-1.0, a=-1.0)
-
-
-class TestFrequencyResponse:
-    def test_grid_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            FrequencyResponse(omegas=np.array([0.0, -1.0]), values=np.zeros((2, 1, 1)))
-
-    def test_grid_must_be_uniform(self):
-        with pytest.raises(ValueError, match="uniform"):
-            FrequencyResponse(omegas=np.array([0.0, 1.0, 3.0]), values=np.zeros((3, 1, 1)))
-
-    def test_wrapper(self):
-        f = from_model(two_level_model(1.0, 0.0))
-        ws = np.linspace(-3, 3, 7)
-        fr = frequency_response(f, ws)
-        assert np.array_equal(fr.omegas, ws)
-        assert fr.values.shape == (7, 1, 1)
 
 
 class TestAllPassProperties:
@@ -126,7 +104,7 @@ class TestCascade:
     def test_identity_is_neutral(self):
         f = from_model(two_level_model(1.0, 0.3))
         ws = np.linspace(-10, 10, 101)
-        combined = cascade(f, identity_filter(1))
+        combined = cascade(f, uncoupled_filter(1))
         assert np.max(np.abs(combined.response_matrix(ws) - f.response_matrix(ws))) < 1e-14
 
     def test_two_stage_phase_doubles(self):
@@ -157,32 +135,23 @@ class TestCascade:
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
-            cascade(identity_filter(1), identity_filter(2))
+            cascade(
+                from_model(two_level_model(1.0, 0.3)),
+                from_model(two_channel_model(1.0, 0.5, 0.3)),
+            )
 
 
 class TestImpulseResponse:
-    def test_onset_value_and_causality(self):
-        kappa, wc = 1.5, 0.6
-        f = from_model(two_level_model(kappa, wc))
-        ts = np.array([-2.0, -0.5, 0.0, 0.5])
-        smooth, feed = impulse_response(f, ts)
-        assert np.array_equal(smooth[0], np.zeros((1, 1)))
-        assert np.array_equal(smooth[1], np.zeros((1, 1)))
-        assert smooth[2, 0, 0] == pytest.approx(-kappa)
-        assert feed[0, 0] == 1.0
-
+    # A stage's impulse response is S delta(t) + kernel_matrix exp(a t) for t >= 0.
     def test_kernel_integral_matches_dc_gain(self):
         kappa, wc = 1.1, 0.9
-        f = from_model(two_level_model(kappa, wc))
+        (st,) = from_model(two_level_model(kappa, wc)).stages
+        assert st.kernel_matrix[0, 0] == pytest.approx(-kappa)
+        assert st.S[0, 0] == 1.0
         ts = np.linspace(0.0, 60.0 / kappa, 2**16)
-        smooth, feed = impulse_response(f, ts)
-        integral = np.trapezoid(smooth[:, 0, 0], ts)
+        smooth = st.kernel_matrix[0, 0] * np.exp(st.a * ts)
+        integral = np.trapezoid(smooth, ts)
         closed = -kappa / (kappa / 2.0 + 1j * wc)
         assert abs(integral - closed) < 1e-6
-        g0 = f.response_matrix(np.array([0.0]))[0, 0, 0]
-        assert closed == pytest.approx(g0 - feed[0, 0], abs=1e-12)
-
-    def test_multi_stage_directs_to_frequency_path(self):
-        f = from_model(two_level_model(1.0, 0.0))
-        with pytest.raises(ValueError, match="frequency"):
-            impulse_response(cascade(f, f), np.array([0.0]))
+        g0 = st.response(np.array([0.0]))[0, 0, 0]
+        assert closed == pytest.approx(g0 - st.S[0, 0], abs=1e-12)
