@@ -52,16 +52,14 @@ from .pulses import (
 from .transfer import PhotonTransfer, from_model
 
 
-class CLIError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
+class CLIError(ValueError):
+    """A usage or input error; ``main`` reports it like any ValueError (exit 1)."""
 
 
 class _Parser(argparse.ArgumentParser):
     # Route argparse usage errors through the exit-code contract (1).
     def error(self, message):
-        raise CLIError(message, code=1)
+        raise CLIError(message)
 
 
 def _condition_tol(args) -> float:
@@ -128,10 +126,14 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid_from_args(args, pole) -> TimeGrid:
+def _grid_size(args) -> int:
     if not 8 <= args.log2_n <= 22:
         raise CLIError(f"--log2-n must be in [8, 22], got {args.log2_n}")
-    n = 2**args.log2_n
+    return 2**args.log2_n
+
+
+def _grid_from_args(args, pole) -> TimeGrid:
+    n = _grid_size(args)
     if args.dt is not None:
         if args.dt <= 0:
             raise CLIError("--dt must be positive")
@@ -164,8 +166,7 @@ def _cmd_shape(args) -> int:
     filt = from_model(m, tol=tol)
     if args.cascade < 1:
         raise CLIError("--cascade must be at least 1")
-    if args.cascade > 1:
-        filt = PhotonTransfer(stages=filt.stages * args.cascade)
+    filt = PhotonTransfer(stages=filt.stages * args.cascade)
     pole = filt.stages[0].a
 
     if args.pulse.startswith("csv:"):
@@ -177,10 +178,7 @@ def _cmd_shape(args) -> int:
         grid = pulse.grid
     else:
         grid = _grid_from_args(args, pole)
-        try:
-            spec = parse_pulse_spec(args.pulse)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        spec = parse_pulse_spec(args.pulse)
         params = dict(_default_pulse_params(spec.kind, grid, pole))
         params.update(spec.params)
         spec = PulseSpec(kind=spec.kind, params=params)
@@ -225,20 +223,11 @@ def _cmd_compose(args) -> int:
     if args.series:
         first = _load_model_checked(args.series[0])
         second = _load_model_checked(args.series[1])
-        try:
-            composed = series_product(second, first)
-            doc = model_to_dict(composed)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        doc = model_to_dict(series_product(second, first))
     else:
         m = _load_model_checked(args.feedback)
-        try:
-            delta = feedback_shift(m)
-            reduced = feedback_reduce(m)
-        except SingularLoopError:
-            raise
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        delta = feedback_shift(m)
+        reduced = feedback_reduce(m)
         doc = model_to_dict(reduced)
         doc["feedback"] = {
             "delta": delta,
@@ -331,9 +320,7 @@ def _memory_kernel_table(args):
 
 
 def _inverting_pulse_table(args):
-    if not 8 <= args.log2_n <= 22:
-        raise CLIError(f"--log2-n must be in [8, 22], got {args.log2_n}")
-    n = 2**args.log2_n
+    n = _grid_size(args)
     span = 40.0 / args.kappa if args.dt is None else n * args.dt
     dt = span / n
     t_start = args.t_start if args.t_start is not None else -0.75 * span
@@ -453,9 +440,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except GridSpanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -465,12 +449,6 @@ def main(argv=None) -> int:
     except ModelValidationError as exc:
         print(json.dumps(exc.report.to_dict(), indent=2), file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

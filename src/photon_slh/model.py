@@ -266,15 +266,13 @@ def _eigen_condition(name: str, rep: EigenRelationReport) -> ConditionReport:
     return ConditionReport(name=name, holds=rep.holds, residual=rep.residual, message=msg)
 
 
-def validate_model(
-    m: SLHModel, tol: float = DEFAULT_TOL, stability_margin: float = 0.0
-) -> ValidationReport:
+def validate_model(m: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the single-photon linear-response conditions on a factored model.
 
     Runs the five checks listed in the module docstring, in order, and
     never raises on a condition failure -- failures are reported.  The
-    stability check is strict by default: ``Re(a) = 0`` fails with a
-    distinct "marginally stable" message.
+    stability check is strict: ``Re(a) = 0`` fails with a distinct
+    "marginally stable" message.
 
     Raises ``ValueError`` for models whose coupling does not factor as
     ``theta^T L0`` (composite models can be in that state); the check is
@@ -330,7 +328,7 @@ def validate_model(
         a = -1j * complex(beta) + 0.5 * coupling_weight * h
         params = DerivedParams(alpha=complex(alpha), beta=complex(beta), h=h, a=a)
         re_a = a.real
-        stable = re_a < -stability_margin
+        stable = re_a < 0.0
         if stable:
             msg = ""
         elif re_a == 0.0:

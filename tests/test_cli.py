@@ -400,6 +400,13 @@ class TestOracleCommand:
         assert lines[0] == "t,ch,re,im"
         assert len(lines) == 1 + 2**8
 
+    @pytest.mark.parametrize("log2_n", ["7", "23"])
+    def test_inverting_pulse_log2_n_bounds(self, capsys, log2_n):
+        assert main(["oracle", "inverting-pulse", "--log2-n", log2_n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --log2-n must be in [8, 22], got {log2_n}\n"
+
     def test_feedback_g_presets(self, capsys):
         assert main(["oracle", "feedback-g", "--scattering", "bs50"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from photon_slh import (
+    FilterStage,
     GridSpanError,
+    PhotonTransfer,
     Pulse,
     PulseSpec,
     PulseSpectrum,
@@ -24,7 +26,7 @@ from photon_slh import (
     write_pulse_csv,
     write_spectrum_csv,
 )
-from photon_slh.pulses import parse_pulse_spec
+from photon_slh.pulses import SCAN_BLOCK_ROWS, parse_pulse_spec
 from conftest import two_channel_model, two_level_model, uncoupled_filter
 
 
@@ -235,7 +237,84 @@ class TestShapeFft:
             shape_fft(p, f)
 
 
+def rk4_reference(p: Pulse, f: PhotonTransfer) -> np.ndarray:
+    """Literal four-stage RK4 stepping of ``eta' = a eta + xi`` per stage, from rest."""
+    x = p.samples
+    dt = p.grid.dt
+    for stage in f.stages:
+        n = x.shape[0]
+        eta = np.zeros_like(x)
+        a = stage.a
+        cur = eta[0]
+        for m in range(n - 1):
+            xm = x[m]
+            xm1 = x[m + 1]
+            xmid = 0.5 * (xm + xm1)
+            k1 = dt * (a * cur + xm)
+            k2 = dt * (a * (cur + 0.5 * k1) + xmid)
+            k3 = dt * (a * (cur + 0.5 * k2) + xmid)
+            k4 = dt * (a * (cur + k3) + xm1)
+            cur = cur + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            eta[m + 1] = cur
+        x = x @ stage.S.T + eta @ stage.kernel_matrix.T
+    return x
+
+
+angles = st.floats(0.0, 2.0 * np.pi)
+
+
+@st.composite
+def all_pass_stage(draw, channels: int, dt: float) -> FilterStage:
+    """Unitary ``S``, unit ``theta`` and ``h = 2 Re(a)``, with ``|a| dt <= 0.1``."""
+    z = complex(draw(st.floats(-0.07, -1e-3)), draw(st.floats(-0.07, 0.07)))
+    g, t, u, v, w = (draw(angles) for _ in range(5))
+    if channels == 1:
+        s, theta = [[np.exp(1j * g)]], [np.exp(1j * u)]
+    else:
+        c, sn = np.cos(t), np.sin(t)
+        s = np.exp(1j * g) * np.array([
+            [c * np.exp(1j * u), -sn * np.exp(-1j * v)],
+            [sn * np.exp(1j * v), c * np.exp(-1j * u)],
+        ])
+        theta = [np.cos(w), np.sin(w) * np.exp(1j * v)]
+    return FilterStage(S=s, theta=theta, h=2.0 * z.real / dt, a=z / dt)
+
+
 class TestShapeOde:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        channels=st.sampled_from([1, 2]),
+        depth=st.integers(1, 3),
+        dt=st.floats(1e-3, 1.0),
+        log2_n=st.integers(4, 8),
+        data=st.data(),
+    )
+    def test_matches_literal_rk4_step(self, channels, depth, dt, log2_n, data):
+        f = PhotonTransfer(
+            stages=tuple(data.draw(all_pass_stage(channels, dt)) for _ in range(depth))
+        )
+        n = 2**log2_n
+        pad = data.draw(st.integers(0, n // 2), label="zero prefix")
+        parts = data.draw(hnp.arrays(np.float64, (n, channels, 2), elements=st.floats(-1.0, 1.0)))
+        samples = parts[..., 0] + 1j * parts[..., 1]
+        samples[:pad] = 0.0
+        p = Pulse(grid=TimeGrid(t_start=0.0, dt=dt, n=n), samples=samples)
+        got = shape_ode(p, f).samples
+        assert np.max(np.abs(got - rk4_reference(p, f))) <= 1e-13
+        # from rest: nothing comes out before the input starts
+        assert np.all(got[:pad] == 0.0)
+
+    def test_slow_pole_keeps_rk4_rounding(self):
+        # |a| dt = 3e-4: scanning (1 + q) eta + v, with 1 + q rounded, loses eps / 3e-4
+        dt = 0.05
+        a = complex(-3e-4, -1e-4) / dt
+        f = PhotonTransfer(stages=(FilterStage(S=[[1.0]], theta=[1.0], h=2.0 * a.real, a=a),))
+        # two scan blocks: the second starts from the first one's last state
+        grid = TimeGrid(t_start=0.0, dt=dt, n=2 * SCAN_BLOCK_ROWS)
+        p = gaussian_pulse(grid, t0=grid.span / 8, sigma=grid.span / 64)
+        want = rk4_reference(p, f)
+        assert np.max(np.abs(shape_ode(p, f).samples - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_two_channel_closed_form_structure(self):
         # xi1' = xi1 - k1 eta, xi2' = -sqrt(k1 k2) eta with eta the filtered input
         k1, k2, wc = 1.0, 0.6, 0.3
@@ -349,6 +428,15 @@ class TestCsvFormats:
         assert back.grid.dt == pytest.approx(grid.dt, rel=1e-6)
         # bit-exact, signed zeros included
         assert np.array_equal(back.samples.view(np.uint64), p.samples.view(np.uint64))
+
+    def test_dt_recovered_from_full_span(self, tmp_path):
+        # t[1] - t[0] carries the rounding of both written times, ~ulp(1e4) = 2e-12
+        grid = TimeGrid(t_start=1e4, dt=1e-3, n=2**12)
+        path = tmp_path / "far.csv"
+        write_pulse_csv(gaussian_pulse(grid, t0=1e4 + 2.0, sigma=0.1), path)
+        back = read_pulse_csv(path)
+        assert abs(back.grid.dt - grid.dt) <= 1e-12 * grid.dt
+        assert np.max(np.abs(back.grid.times() - grid.times())) <= 1e-8 * grid.dt
 
     def test_large_offset_grid_accepted(self, tmp_path):
         # |t_start| / dt = 1e7: written times round by more than 1e-9 dt
