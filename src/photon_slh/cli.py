@@ -320,6 +320,8 @@ def _memory_kernel_table(args):
 
 
 def _inverting_pulse_table(args):
+    if not args.kappa > 0.0:
+        raise CLIError("kappa must be positive")
     n = _grid_size(args)
     span = 40.0 / args.kappa if args.dt is None else n * args.dt
     dt = span / n

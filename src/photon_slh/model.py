@@ -460,6 +460,8 @@ def _pairs_to_matrix(data, name: str, shape=None) -> np.ndarray:
         raise ValueError(f"field '{name}' must be a matrix of [re, im] pairs") from exc
     if arr.ndim != 2:
         raise ValueError(f"field '{name}' must be two-dimensional")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"field '{name}' entries must be finite")
     if shape is not None and arr.shape != shape:
         raise ValueError(f"field '{name}' has shape {arr.shape}, expected {shape}")
     return arr
@@ -486,8 +488,10 @@ def model_from_dict(data: dict) -> SLHModel:
     for key in ("levels", "channels", "S", "theta", "L0", "H0"):
         if key not in data:
             raise ValueError(f"model document is missing field '{key}'")
-    levels = int(data["levels"])
-    channels = int(data["channels"])
+    levels, channels = data["levels"], data["channels"]
+    for key, value in (("levels", levels), ("channels", channels)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"field '{key}' must be an integer, got {value!r}")
     if levels < 1 or channels < 1:
         raise ValueError("levels and channels must be positive")
     s = _pairs_to_matrix(data["S"], "S", (channels, channels))

@@ -21,8 +21,9 @@ Two independent shaping paths are provided:
   ``eta' = a eta + xi`` with classical fixed-step fourth-order stepping
   (input interpolated linearly between samples) and forms
   ``xi_out = S xi + h theta theta^dag S eta``.  A step is linear in
-  ``eta[m]``, ``xi[m]`` and ``xi[m+1]``, so it runs as the recurrence
-  ``eta[m+1] = r eta[m] + c0 xi[m] + c1 xi[m+1]``, scalars fixed by ``a dt``.
+  ``eta[m]``, ``xi[m]`` and ``xi[m+1]``, so it is the first-order recurrence
+  ``eta[m+1] = r eta[m] + c0 xi[m] + c1 xi[m+1]`` with scalars fixed by
+  ``a dt``, solved for all samples at once by a log-depth doubling scan.
 
 They approximate the same continuum result and serve as cross-oracles.
 """
@@ -65,11 +66,6 @@ TAIL_ENERGY_TOL = 1e-8
 
 #: Fixed-step stability/accuracy guard for the time-domain path.
 ODE_STEP_LIMIT = 0.1
-
-#: Samples per block of the :func:`shape_ode` scan.  The scan steps Python
-#: complex numbers, 80 bytes per sample with their array; blocks keep that
-#: memory fixed instead of growing with the grid.
-SCAN_BLOCK_ROWS = 4096
 
 
 class GridSpanError(ValueError):
@@ -165,6 +161,10 @@ def gaussian_pulse(
     """Unit-norm gaussian: ``(2 pi sigma^2)^(-1/4) exp(-(t-t0)^2 / (4 sigma^2))``."""
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
+    # Keeps sigma**2 a normal float: Python floats raise where it overflows or
+    # underflows to zero.
+    if not 1e-150 <= sigma <= 1e150:
+        raise ValueError(f"sigma must lie in [1e-150, 1e150], got {sigma:g}")
     t = grid.times()
     col = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-((t - t0) ** 2) / (4.0 * sigma**2))
     return _mono(grid, col.astype(complex), channels, channel, "gaussian")
@@ -373,9 +373,18 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
     ``r = 1 + q``, ``q = z + z^2/2 + z^3/6 + z^4/24``,
     ``c0 = dt (6 + 4z + 3z^2/2 + z^3/2) / 12`` and
     ``c1 = dt (6 + 2z + z^2/2) / 12`` (both ``dt/2``, the trapezoid rule,
-    as ``z -> 0``).  Each stage scans it from ``eta[0] = 0``, adding the
-    increment ``q eta[m] + c0 xi[m] + c1 xi[m+1]`` to ``eta[m]`` as RK4
-    does; rounding ``r`` itself would lose a factor ``1/|z|`` of accuracy.
+    as ``z -> 0``).
+
+    Each stage solves the recurrence from ``eta[0] = 0`` by a doubling scan
+    (Kogge & Stone 1973; Blelloch 1990): starting from the inputs
+    ``c0 xi[m] + c1 xi[m+1]``, the level of stride ``s`` adds ``r^s`` times
+    the partial sum ``s`` samples earlier, so ``log2(n)`` whole-array levels
+    replace ``n`` sequential steps.  Every output picks up one rounded power
+    per level, an error of about ``log2(n) eps |eta|``.  The powers are
+    carried as ``p_s = r^s - 1`` through ``p_2s = p_s (2 + p_s)``, apart from
+    the 1: a rounded ``r = 1 + q`` keeps only the bits of ``q`` that fit
+    beside 1, a relative error of ``eps / |z|`` in the decay per step, and
+    squaring it would hand that error on to every power.
     """
     _match_channels(p, f)
     x = p.samples
@@ -390,13 +399,17 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
         q = z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
         c0 = dt * (6.0 + 4.0 * z + 1.5 * z**2 + 0.5 * z**3) / 12.0
         c1 = dt * (6.0 + 2.0 * z + 0.5 * z**2) / 12.0
-        u = c0 * x[:-1] + c1 * x[1:]
-        step = np.frompyfunc(lambda e, v: e + (q * e + v), 2, 1)
         eta = np.zeros_like(x)
-        for i in range(0, u.shape[0], SCAN_BLOCK_ROWS):
-            block = u[i : i + SCAN_BLOCK_ROWS].astype(object)
-            block[0] = step(eta[i], block[0])
-            eta[i + 1 : i + 1 + block.shape[0]] = step.accumulate(block, axis=0)
+        b = eta[1:]  # b[m] becomes eta[m + 1]
+        tmp = np.empty_like(b)
+        np.multiply(x[:-1], c0, out=b)
+        b += np.multiply(x[1:], c1, out=tmp)
+        # After the level of stride s, b[m] sums the last 2s terms; p_s = r^s - 1.
+        p_s, s = q, 1
+        while s < b.shape[0]:
+            np.multiply(b[:-s], 1.0 + p_s, out=tmp[:-s])
+            b[s:] += tmp[:-s]
+            p_s, s = p_s * (2.0 + p_s), 2 * s
         x = x @ st.S.T + eta @ st.kernel_matrix.T
     return Pulse(grid=p.grid, samples=x)
 

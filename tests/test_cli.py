@@ -93,6 +93,28 @@ class TestValidate:
         monkeypatch.setenv("PHOTON_SLH_TOL", "not-a-number")
         assert main(["validate", str(model_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"levels": None},
+            {"levels": [2]},
+            {"levels": 1e400},
+            {"channels": 2.7},
+            {"S": [[[float("nan"), 0.0]]]},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "shape"])
+    def test_bad_model_fields_exit_1(self, tmp_path, capsys, command, edit):
+        doc = model_to_dict(two_level_model(KAPPA, OMEGA_C))
+        doc.update(edit)
+        path = tmp_path / "bad.json"
+        # 1e400 reaches json.load as a literal, beyond the float range
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        argv = [command, str(path)] + (["-o", str(tmp_path / "x.csv")] if command == "shape" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: field '{next(iter(edit))}' ")
+
 
 class TestShape:
     def test_gaussian_norm_preserved(self, model_path, tmp_path, capsys):
@@ -207,6 +229,21 @@ class TestShape:
         save_model(bad, path)
         assert main(["shape", str(path), "-o", str(tmp_path / "x.csv")]) == 2
         assert json.loads(capsys.readouterr().err)["passed"] is False
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--pulse", "gaussian:sigma=1e-300"],
+            ["--dt", "1e-300"],
+            ["--pulse", "gaussian:sigma=1e200"],
+            ["--dt", "1e300"],
+        ],
+    )
+    def test_extreme_gaussian_width_exits_1(self, model_path, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        assert main(["shape", str(model_path), *flags, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: sigma must lie in [1e-150, 1e150]")
+        assert not out.exists()
 
     def test_unknown_pulse_kind(self, model_path, tmp_path):
         assert (
@@ -406,6 +443,13 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --log2-n must be in [8, 22], got {log2_n}\n"
+
+    @pytest.mark.parametrize("kappa", ["0", "-1"])
+    def test_inverting_pulse_rejects_nonpositive_kappa(self, capsys, kappa):
+        assert main(["oracle", "inverting-pulse", "--kappa", kappa]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: kappa must be positive\n"
 
     def test_feedback_g_presets(self, capsys):
         assert main(["oracle", "feedback-g", "--scattering", "bs50"]) == 0

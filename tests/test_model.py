@@ -271,6 +271,22 @@ class TestModelJson:
         with pytest.raises(ValueError, match="theta"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["levels", "channels"])
+    @pytest.mark.parametrize("value", [None, [2], float("inf"), 2.7, True])
+    def test_counts_must_be_integers(self, key, value):
+        doc = model_to_dict(two_level_model(1.0, 0.0))
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"field '{key}' must be an integer"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["S", "L0", "H0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_matrix_entries_must_be_finite(self, key, value):
+        doc = model_to_dict(two_level_model(1.0, 0.0))
+        doc[key][0][0][1] = value
+        with pytest.raises(ValueError, match=f"field '{key}' entries must be finite"):
+            model_from_dict(doc)
+
     def test_unfactored_model_not_serializable(self):
         m = SLHModel.general(
             np.eye(2), [sigma_minus(), Operator(np.diag([0.0, 1.0]))], zero(2)

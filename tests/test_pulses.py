@@ -26,8 +26,8 @@ from photon_slh import (
     write_pulse_csv,
     write_spectrum_csv,
 )
-from photon_slh.pulses import SCAN_BLOCK_ROWS, parse_pulse_spec
-from conftest import two_channel_model, two_level_model, uncoupled_filter
+from photon_slh.pulses import parse_pulse_spec
+from conftest import BS50, SWAP, two_channel_model, two_level_model, uncoupled_filter
 
 
 def offset_grid(span: float, log2_n: int = 14) -> TimeGrid:
@@ -309,11 +309,37 @@ class TestShapeOde:
         dt = 0.05
         a = complex(-3e-4, -1e-4) / dt
         f = PhotonTransfer(stages=(FilterStage(S=[[1.0]], theta=[1.0], h=2.0 * a.real, a=a),))
-        # two scan blocks: the second starts from the first one's last state
-        grid = TimeGrid(t_start=0.0, dt=dt, n=2 * SCAN_BLOCK_ROWS)
+        grid = TimeGrid(t_start=0.0, dt=dt, n=8192)
         p = gaussian_pulse(grid, t0=grid.span / 8, sigma=grid.span / 64)
         want = rk4_reference(p, f)
         assert np.max(np.abs(shape_ode(p, f).samples - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_single_step_grid(self, rng):
+        # n = 2: one RK4 step, so the scan runs no doubling level
+        dt, a = 0.5, complex(-0.1, 0.15)
+        f = PhotonTransfer(stages=(FilterStage(S=BS50, theta=[0.6, 0.8j], h=2.0 * a.real, a=a),))
+        samples = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        p = Pulse(grid=TimeGrid(t_start=0.0, dt=dt, n=2), samples=samples)
+        assert np.max(np.abs(shape_ode(p, f).samples - rk4_reference(p, f))) <= 1e-13
+
+    def test_long_grid_oscillating_pole(self, rng):
+        # 2^14 samples: fourteen doubling levels, with |a| dt near the step limit
+        dt = 0.01
+        f = PhotonTransfer(
+            stages=tuple(
+                FilterStage(
+                    S=s, theta=[np.cos(w), np.sin(w) * 1j], h=2.0 * z.real / dt, a=z / dt
+                )
+                for s, w, z in (
+                    (BS50, 0.4, complex(-0.003, 0.0995)),
+                    (SWAP, 1.1, complex(-0.001, -0.0998)),
+                )
+            )
+        )
+        n = 2**14
+        samples = rng.uniform(-1.0, 1.0, (n, 2)) + 1j * rng.uniform(-1.0, 1.0, (n, 2))
+        p = Pulse(grid=TimeGrid(t_start=0.0, dt=dt, n=n), samples=samples)
+        assert np.max(np.abs(shape_ode(p, f).samples - rk4_reference(p, f))) <= 1e-13
 
     def test_two_channel_closed_form_structure(self):
         # xi1' = xi1 - k1 eta, xi2' = -sqrt(k1 k2) eta with eta the filtered input
