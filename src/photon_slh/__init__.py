@@ -42,33 +42,25 @@ from .model import (
 from .transfer import (
     FilterStage,
     PhotonTransfer,
-    cascade,
     from_model,
 )
 from .pulses import (
     GridSpanError,
     Pulse,
     PulseSpec,
-    PulseSpectrum,
     TimeGrid,
     decaying_exp_pulse,
-    fourier,
     gaussian_pulse,
-    inverse_fourier,
-    normalize,
     read_pulse_csv,
     rising_exp_pulse,
     shape_fft,
     shape_ode,
     square_pulse,
     write_pulse_csv,
-    write_spectrum_csv,
 )
 from .oracles import (
     TwoLevelParams,
     feedback_g,
-    inverting_pulse,
-    kummer_1f1,
     memory_g,
     memory_kernel,
     two_channel_g,
@@ -109,32 +101,24 @@ __all__ = [
     "FilterStage",
     "PhotonTransfer",
     "from_model",
-    "cascade",
     # pulses
     "TimeGrid",
     "Pulse",
     "PulseSpec",
-    "PulseSpectrum",
     "GridSpanError",
     "gaussian_pulse",
     "decaying_exp_pulse",
     "rising_exp_pulse",
     "square_pulse",
-    "normalize",
-    "fourier",
-    "inverse_fourier",
     "shape_fft",
     "shape_ode",
     "read_pulse_csv",
     "write_pulse_csv",
-    "write_spectrum_csv",
     # oracles
     "TwoLevelParams",
     "two_level_g",
     "two_channel_g",
     "memory_g",
     "memory_kernel",
-    "kummer_1f1",
-    "inverting_pulse",
     "feedback_g",
 ]

@@ -320,14 +320,13 @@ def _memory_kernel_table(args):
 
 
 def _inverting_pulse_table(args):
-    if not args.kappa > 0.0:
-        raise CLIError("kappa must be positive")
+    p = TwoLevelParams(args.kappa, args.omega_c)
     n = _grid_size(args)
-    span = 40.0 / args.kappa if args.dt is None else n * args.dt
+    span = 40.0 / p.kappa if args.dt is None else n * args.dt
     dt = span / n
     t_start = args.t_start if args.t_start is not None else -0.75 * span
     grid = TimeGrid(t_start=t_start, dt=dt, n=n)
-    return pulse_table(rising_exp_pulse(grid, args.kappa, args.omega_c))
+    return pulse_table(rising_exp_pulse(grid, p.kappa, p.omega_c))
 
 
 # Which oracle writes which table: name -> args -> (header, row template, columns).

@@ -1,4 +1,4 @@
-"""Single-photon pulse shapes: grids, normalization, transforms, shaping.
+"""Single-photon pulse shapes: grids, analytic shapes, shaping, CSV I/O.
 
 A pulse is a complex amplitude per (time, channel) on a uniform power-of-two
 grid; its squared modulus integrates to one for a single photon.  Analytic
@@ -7,10 +7,6 @@ shapes (gaussian, one-sided exponentials, square) are described by a
 discontinuities that land exactly on a grid point are sampled at the mean of
 the one-sided limits, which keeps discrete norms and both shaping paths at
 second-order accuracy.
-
-Fourier convention: forward transform ``int exp(-i w t) f(t) dt``, realised
-by the FFT with explicit ``dt`` and ``t_start`` phase factors so spectra of
-time-shifted pulses differ only by a linear phase.
 
 Two independent shaping paths are provided:
 
@@ -32,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -43,20 +40,15 @@ __all__ = [
     "TimeGrid",
     "Pulse",
     "PulseSpec",
-    "PulseSpectrum",
     "GridSpanError",
     "gaussian_pulse",
     "decaying_exp_pulse",
     "rising_exp_pulse",
     "square_pulse",
-    "normalize",
-    "fourier",
-    "inverse_fourier",
     "shape_fft",
     "shape_ode",
     "read_pulse_csv",
     "write_pulse_csv",
-    "write_spectrum_csv",
     "parse_pulse_spec",
 ]
 
@@ -78,7 +70,7 @@ class GridSpanError(ValueError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with a power-of-two sample count."""
+    """Uniform time grid with a power-of-two sample count and finite, distinct times."""
 
     t_start: float
     dt: float
@@ -89,6 +81,17 @@ class TimeGrid:
             raise ValueError("dt must be positive")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"sample count must be a power of two, got {self.n}")
+        t_end = float(self.t_start) + (self.n - 1) * float(self.dt)
+        if not math.isfinite(t_end):
+            raise ValueError(f"grid times must be finite: t_start {self.t_start}, dt {self.dt}")
+        # times() rounds dt*i (at most 2 big in size), then t_start + dt*i: each time
+        # moves by under 3 ulp(big), so consecutive times differ by more than
+        # dt - 6 ulp(big) and stay strictly increasing.
+        big = max(abs(self.t_start), abs(t_end))
+        if not self.dt > 8.0 * math.ulp(big):
+            raise ValueError(
+                f"dt {self.dt:g} is too fine to tell grid times apart near |t| = {big:g}"
+            )
 
     @property
     def span(self) -> float:
@@ -258,64 +261,6 @@ def parse_pulse_spec(text: str) -> PulseSpec:
     return PulseSpec(kind=kind.strip(), params=params)
 
 
-def normalize(p: Pulse) -> Pulse:
-    """Rescale so the discrete norm is exactly one."""
-    n = p.norm()
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero pulse")
-    return Pulse(grid=p.grid, samples=p.samples / n, kind=p.kind)
-
-
-@dataclass(frozen=True, eq=False)
-class PulseSpectrum:
-    """Continuous-convention spectrum samples on an increasing frequency grid."""
-
-    omegas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.omegas, dtype=float).reshape(-1)
-        v = np.array(self.values, dtype=complex)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.shape[0] != w.size:
-            raise ValueError("omegas and values length mismatch")
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "omegas", w)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[1]
-
-
-def fourier(p: Pulse) -> PulseSpectrum:
-    """Forward transform with the ``exp(-i w t)`` convention.
-
-    ``dt`` scaling and the ``exp(-i w t_start)`` phase make the result a
-    quadrature of the continuous transform, so Parseval holds with
-    ``sum |spectrum|^2 dw / 2 pi = sum |pulse|^2 dt``.
-    """
-    w = p.grid.omegas()
-    vals = np.fft.fft(p.samples, axis=0) * p.grid.dt
-    vals *= np.exp(-1j * w * p.grid.t_start)[:, None]
-    order = np.fft.fftshift(np.arange(p.grid.n))
-    return PulseSpectrum(omegas=w[order], values=vals[order])
-
-
-def inverse_fourier(spec: PulseSpectrum, grid: TimeGrid) -> Pulse:
-    """Inverse of :func:`fourier` back onto ``grid``."""
-    if spec.omegas.size != grid.n:
-        raise ValueError("spectrum length does not match the grid")
-    order = np.fft.ifftshift(np.arange(grid.n))
-    vals = spec.values[order]
-    w = grid.omegas()
-    vals = vals * np.exp(1j * w * grid.t_start)[:, None]
-    samples = np.fft.ifft(vals, axis=0) / grid.dt
-    return Pulse(grid=grid, samples=samples)
-
-
 def _check_span(p: Pulse, f: PhotonTransfer) -> None:
     span = p.grid.span
     worst = 0.0
@@ -415,9 +360,8 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
 
 
 # ---------------------------------------------------------------------------
-# CSV formats: pulses as ``t,ch,re,im`` rows, spectra as ``omega,ch,re,im``.
-# Values use fixed 17-significant-digit scientific notation for
-# reproducible diffs.
+# CSV format: pulses as ``t,ch,re,im`` rows.  Values use fixed
+# 17-significant-digit scientific notation for reproducible diffs.
 # ---------------------------------------------------------------------------
 
 #: Rows formatted per write by :func:`write_table`.  Whole-file joins cost
@@ -445,16 +389,12 @@ def write_table(path, header: str, row: str, columns) -> None:
             fh.write("".join(row % values for values in block))
 
 
-def _sample_table(axis: str, points: np.ndarray, samples: np.ndarray):
-    k = samples.shape[1]
-    z = samples.reshape(-1)
-    columns = (np.repeat(points, k), np.tile(np.arange(k), points.size), z.real, z.imag)
-    return f"{axis},ch,re,im", "%.16e,%d,%.16e,%.16e\n", columns
-
-
 def pulse_table(p: Pulse):
     """Header, row template and columns of the pulse CSV, for :func:`write_table`."""
-    return _sample_table("t", p.grid.times(), p.samples)
+    k = p.channels
+    z = p.samples.reshape(-1)
+    columns = (np.repeat(p.grid.times(), k), np.tile(np.arange(k), p.grid.n), z.real, z.imag)
+    return "t,ch,re,im", "%.16e,%d,%.16e,%.16e\n", columns
 
 
 def write_pulse_csv(p: Pulse, path) -> None:
@@ -505,6 +445,3 @@ def read_pulse_csv(path) -> Pulse:
     samples.imag[key] = table[:, 3]
     return Pulse(grid=grid, samples=samples.reshape(n, channels))
 
-
-def write_spectrum_csv(spec: PulseSpectrum, path) -> None:
-    write_table(path, *_sample_table("omega", spec.omegas, spec.values))

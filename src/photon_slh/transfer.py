@@ -3,8 +3,9 @@
 A validated model acts on a single-photon pulse as a one-pole matrix filter:
 the impulse response is a delta feedthrough ``S`` plus the smooth kernel
 ``h * theta theta^dag * exp(a t) * S`` for ``t >= 0``.  Filters compose by
-cascade, which simply concatenates stages; the frequency response of a
-cascade is the ordered matrix product of the per-stage responses
+cascade, ``PhotonTransfer(stages=f1.stages + f2.stages)`` for ``f2`` after
+``f1``; the frequency response of a cascade is the ordered matrix product of
+the per-stage responses
 
     G(i w) = S + h (theta theta^dag) S / (i w - a).
 
@@ -27,7 +28,6 @@ __all__ = [
     "FilterStage",
     "PhotonTransfer",
     "from_model",
-    "cascade",
 ]
 
 #: Absolute residual allowed in the construction self-test at w = 0.
@@ -159,11 +159,4 @@ def from_model(m: SLHModel, tol: float = DEFAULT_TOL) -> PhotonTransfer:
     return PhotonTransfer(
         stages=(FilterStage(S=m.S, theta=m.theta, h=p.h, a=p.a),)
     )
-
-
-def cascade(f1: PhotonTransfer, f2: PhotonTransfer) -> PhotonTransfer:
-    """Compose filters, ``f2`` after ``f1``; responses multiply in that order."""
-    if f1.channels != f2.channels:
-        raise ValueError(f"channel count mismatch: {f1.channels} vs {f2.channels}")
-    return PhotonTransfer(stages=f1.stages + f2.stages)
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from photon_slh import FilterStage, PhotonTransfer, SLHModel, sigma_minus, sigma_z
+from photon_slh import (
+    FilterStage,
+    PhotonTransfer,
+    Pulse,
+    SLHModel,
+    TimeGrid,
+    sigma_minus,
+    sigma_z,
+)
 
 
 def two_level_model(kappa: float, omega_c: float) -> SLHModel:
@@ -24,6 +32,28 @@ def two_channel_model(kappa1: float, kappa2: float, omega_c: float, S=None) -> S
         sigma_minus(),
         (omega_c / 2.0) * sigma_z(),
     )
+
+
+def fourier(p: Pulse):
+    """Quadrature of the continuous transform ``int exp(-i w t) xi(t) dt``.
+
+    FFT with ``dt`` scaling and the ``exp(-i w t_start)`` phase; returns the
+    frequencies in increasing order and the ``(n, K)`` spectrum samples.
+    """
+    w = p.grid.omegas()
+    vals = np.fft.fft(p.samples, axis=0) * p.grid.dt
+    vals *= np.exp(-1j * w * p.grid.t_start)[:, None]
+    order = np.fft.fftshift(np.arange(p.grid.n))
+    return w[order], vals[order]
+
+
+def inverse_fourier(values, grid: TimeGrid) -> np.ndarray:
+    """Inverse of :func:`fourier`: spectrum samples in increasing frequency order
+    back to ``(n, K)`` time samples on ``grid``."""
+    vals = np.asarray(values, dtype=complex).reshape(grid.n, -1)
+    vals = vals[np.fft.ifftshift(np.arange(grid.n))]
+    vals = vals * np.exp(1j * grid.omegas() * grid.t_start)[:, None]
+    return np.fft.ifft(vals, axis=0) / grid.dt
 
 
 def uncoupled_filter(channels: int) -> PhotonTransfer:

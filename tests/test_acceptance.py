@@ -12,7 +12,6 @@ from math import comb
 
 from photon_slh import (
     PhotonTransfer,
-    PulseSpectrum,
     TimeGrid,
     TwoLevelParams,
     decaying_exp_pulse,
@@ -21,7 +20,6 @@ from photon_slh import (
     feedback_shift,
     from_model,
     gaussian_pulse,
-    inverse_fourier,
     memory_g,
     memory_kernel,
     rising_exp_pulse,
@@ -30,7 +28,7 @@ from photon_slh import (
     square_pulse,
     validate_model,
 )
-from conftest import BS50, SWAP, two_channel_model, two_level_model
+from conftest import BS50, SWAP, inverse_fourier, two_channel_model, two_level_model
 from test_model import joint_memory_model
 
 
@@ -183,7 +181,7 @@ def test_memory_cascade_kernel():
             - comb(n, 1) * (-p.kappa) / (1j * w - pole)
             - comb(n, 2) * p.kappa**2 / (1j * w - pole) ** 2
         )
-        rem_t = inverse_fourier(PulseSpectrum(omegas=w, values=remainder), grid).samples[:, 0]
+        rem_t = inverse_fourier(remainder, grid)[:, 0]
         peeled = (comb(n, 1) * (-p.kappa) + comb(n, 2) * p.kappa**2 * np.maximum(t, 0.0)) * np.exp(
             pole * np.maximum(t, 0.0)
         )

@@ -245,6 +245,21 @@ class TestShape:
         assert capsys.readouterr().err.startswith("error: sigma must lie in [1e-150, 1e150]")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--t-start", "1e308"], "too fine to tell grid times apart"),
+            (["--t-start", "inf"], "grid times must be finite"),
+            (["--dt", "inf"], "grid times must be finite"),
+        ],
+        ids=["collapsed-times", "t-start-inf", "dt-inf"],
+    )
+    def test_unusable_grid_exits_1(self, model_path, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.csv"
+        assert main(["shape", str(model_path), *flags, "-o", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_pulse_kind(self, model_path, tmp_path):
         assert (
             main(["shape", str(model_path), "--pulse", "sinc", "-o", str(tmp_path / "x.csv")])
@@ -430,6 +445,31 @@ class TestOracleCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(-2.0)
+
+    def test_memory_kernel_long_chain(self, capsys):
+        # the 1F1 power series read 3.648 here: at kappa t = 40 it cancels every digit
+        assert main(["oracle", "memory-kernel", "--n", "40", "--t", "40:40:1"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[1]) == pytest.approx(-0.0329161019122252, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["two-level-g", "--kappa", "inf"], "kappa"),
+            (["memory-g", "--omega-c", "nan"], "omega_c"),
+            (["two-channel-g", "--kappa1", "inf"], "kappa1"),
+            (["memory-kernel", "--kappa", "inf"], "kappa"),
+            (["inverting-pulse", "--kappa", "inf"], "kappa"),
+            (["feedback-g", "--kappa2", "inf"], "kappa2"),
+        ],
+        ids=["two-level-g", "memory-g", "two-channel-g", "memory-kernel", "inverting-pulse",
+             "feedback-g"],
+    )
+    def test_non_finite_parameter_exits_1(self, capsys, argv, name):
+        assert main(["oracle", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be finite, got {argv[-1]}\n"
 
     def test_inverting_pulse_csv(self, capsys):
         assert main(["oracle", "inverting-pulse", "--kappa", "2.0", "--log2-n", "8"]) == 0

@@ -1,26 +1,22 @@
+import mpmath
 import numpy as np
 import pytest
-from scipy import special
 
 from photon_slh import (
-    PulseSpectrum,
+    PhotonTransfer,
     SingularLoopError,
     TimeGrid,
     TwoLevelParams,
-    cascade,
     feedback_g,
     feedback_reduce,
-    fourier,
     from_model,
-    inverse_fourier,
-    inverting_pulse,
-    kummer_1f1,
     memory_g,
     memory_kernel,
+    rising_exp_pulse,
     two_channel_g,
     two_level_g,
 )
-from conftest import BS50, SWAP, two_channel_model, two_level_model
+from conftest import BS50, SWAP, fourier, inverse_fourier, two_channel_model, two_level_model
 
 
 class TestTwoLevelG:
@@ -42,6 +38,28 @@ class TestTwoLevelG:
     def test_kappa_must_be_positive(self):
         with pytest.raises(ValueError, match="kappa"):
             TwoLevelParams(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda bad: TwoLevelParams(bad, 0.0), "kappa"),
+        (lambda bad: TwoLevelParams(1.0, bad), "omega_c"),
+        (lambda bad: two_channel_g(bad, 1.0, 0.0, 0.0), "kappa1"),
+        (lambda bad: two_channel_g(1.0, bad, 0.0, 0.0), "kappa2"),
+        (lambda bad: two_channel_g(1.0, 1.0, bad, 0.0), "omega_c"),
+        (lambda bad: feedback_g(SWAP, bad, 1.0, 0.0, 0.0), "kappa1"),
+        (lambda bad: feedback_g(SWAP, 1.0, bad, 0.0, 0.0), "kappa2"),
+        (lambda bad: feedback_g(SWAP, 1.0, 1.0, bad, 0.0), "omega_c"),
+    ],
+    ids=["params-kappa", "params-omega_c", "two-channel-kappa1", "two-channel-kappa2",
+         "two-channel-omega_c", "feedback-kappa1", "feedback-kappa2", "feedback-omega_c"],
+)
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_parameters_must_be_finite(call, name, bad):
+    # nan fails the positivity check first, which names the coupling too
+    with pytest.raises(ValueError, match=name):
+        call(bad)
 
 
 class TestTwoChannelG:
@@ -83,7 +101,7 @@ class TestMemoryG:
     def test_matches_filter_cascade(self, rng):
         p = TwoLevelParams(1.4, -0.6)
         f = from_model(two_level_model(p.kappa, p.omega_c))
-        chain = cascade(cascade(f, f), f)
+        chain = PhotonTransfer(stages=f.stages * 3)
         ws = np.sort(rng.uniform(-20, 20, size=32))
         got = chain.response_matrix(ws)[:, 0, 0]
         assert np.max(np.abs(got - memory_g(3, p, ws))) < 1e-12
@@ -93,45 +111,16 @@ class TestMemoryG:
             memory_g(0, TwoLevelParams(1.0, 0.0), 0.0)
 
 
-class TestKummer1F1:
-    def test_value_at_zero(self):
-        assert kummer_1f1(3.2, 1.5, 0.0) == pytest.approx(1.0)
-
-    def test_against_scipy(self):
-        for a in (0.5, 2.0, 6.0):
-            for b in (1.0, 2.0, 3.7):
-                for z in (-40.0, -7.5, -1.0, 0.3, 4.0, 25.0):
-                    ours = kummer_1f1(a, b, z)
-                    ref = special.hyp1f1(a, b, z)
-                    assert ours == pytest.approx(ref, rel=1e-12), (a, b, z)
-
-    def test_terminating_kernel_parameters(self):
-        # reflected series terminates for the chain-kernel parameter family
-        for n in range(1, 9):
-            for zt in (0.0, 1.0, 10.0, 40.0):
-                ours = kummer_1f1(1 + n, 2.0, -zt)
-                ref = special.hyp1f1(1 + n, 2, -zt)
-                assert ours == pytest.approx(ref, rel=1e-11, abs=1e-300), (n, zt)
-
-    def test_truncation_stability(self):
-        # forcing extra terms past the adaptive stop barely moves the value
-        for n in range(1, 9):
-            for zt in (0.5, 5.0, 20.0, 40.0):
-                base = kummer_1f1(1 + n, 2.0, -zt)
-                longer = kummer_1f1(1 + n, 2.0, -zt, min_terms=120)
-                assert abs(base - longer) <= 1e-12 * max(1.0, abs(base))
-
-    def test_nonpositive_integer_b_rejected(self):
-        with pytest.raises(ValueError, match="nonpositive"):
-            kummer_1f1(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="nonpositive"):
-            kummer_1f1(1.0, -2.0, 1.0)
-
-
 class TestMemoryKernel:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="causal"):
             memory_kernel(1, TwoLevelParams(1.0, 0.0), -0.5)
+
+    @pytest.mark.parametrize("kappa, t", [(1e300, 1e10), (1.0, np.inf), (1.0, np.nan)])
+    def test_non_finite_kappa_t_rejected(self, kappa, t):
+        # the recurrence would turn inf * 0 into a NaN kernel
+        with pytest.raises(ValueError, match="finite"):
+            memory_kernel(2, TwoLevelParams(kappa, 0.0), t)
 
     def test_onset_magnitude(self):
         p = TwoLevelParams(1.6, 0.9)
@@ -158,32 +147,47 @@ class TestMemoryKernel:
         w = np.fft.fftshift(grid.omegas())
         pole = -1j * p.omega_c - 0.5 * p.kappa
         remainder = memory_g(n, p, w) - 1.0 + n * p.kappa / (1j * w - pole)
-        rem_t = inverse_fourier(PulseSpectrum(omegas=w, values=remainder), grid)
+        rem_t = inverse_fourier(remainder, grid)
         t = grid.times()
         idx = np.argmin(np.abs(t - 1.0))
-        fft_val = rem_t.samples[idx, 0] - n * p.kappa * np.exp(pole * t[idx])
+        fft_val = rem_t[idx, 0] - n * p.kappa * np.exp(pole * t[idx])
         assert abs(fft_val - memory_kernel(n, p, t[idx])) < 1e-4
+
+    def test_matches_mpmath_laguerre_sum(self):
+        # -kappa exp(-x/2) L^(1)_(n-1)(x) exp(-i w_c t), x = kappa t, summed at 60
+        # digits: in doubles that power series cancels away every digit for long chains
+        def reference(n, p, t):
+            with mpmath.workdps(60):
+                x = mpmath.mpf(p.kappa) * mpmath.mpf(t)
+                poly = mpmath.fsum(
+                    mpmath.binomial(n, n - 1 - k) * (-x) ** k / mpmath.factorial(k)
+                    for k in range(n)
+                )
+                phase = mpmath.expj(-mpmath.mpf(p.omega_c) * mpmath.mpf(t))
+                return complex(-mpmath.mpf(p.kappa) * mpmath.exp(-x / 2) * poly * phase)
+
+        for p in (TwoLevelParams(0.2, 0.7), TwoLevelParams(1.0, 0.0), TwoLevelParams(5.0, -1.3)):
+            ts = np.linspace(0.0, 300.0 / p.kappa, 61)
+            for n in (1, 2, 5, 10, 20, 40, 60):
+                want = np.array([reference(n, p, t) for t in ts])
+                err = np.max(np.abs(memory_kernel(n, p, ts) - want))
+                assert err <= 1e-14 * p.kappa * n, (n, p, err)
 
 
 class TestInvertingPulse:
-    def test_descriptor_kind(self):
-        spec = inverting_pulse(TwoLevelParams(2.0, -1.0))
-        assert spec.kind == "rising_exp"
-        assert spec.params == {"kappa": 2.0, "omega_c": -1.0}
-
     def test_unit_norm_when_materialized(self):
         p = TwoLevelParams(1.5, 0.4)
         n = 2**14
         dt = 40.0 / p.kappa / n
         grid = TimeGrid(t_start=-20.0 / p.kappa + dt / 2, dt=dt, n=n)
-        pulse = inverting_pulse(p).materialize(grid)
+        pulse = rising_exp_pulse(grid, p.kappa, p.omega_c)
         assert abs(pulse.norm() - 1.0) < 1e-6
 
     def test_endpoint_value(self):
         p = TwoLevelParams(1.5, 0.0)
         dt = 32.0 / 2**12
         off = TimeGrid(t_start=-16.0 + dt / 2, dt=dt, n=2**12)
-        pulse = inverting_pulse(p).materialize(off)
+        pulse = rising_exp_pulse(off, p.kappa, p.omega_c)
         t = off.times()
         last_neg = np.flatnonzero(t < 0)[-1]
         exact = -np.sqrt(p.kappa) * np.exp(0.5 * p.kappa * t[last_neg])
@@ -195,10 +199,10 @@ class TestInvertingPulse:
         n = 2**14
         dt = 40.0 / n
         grid = TimeGrid(t_start=-20.0 + dt / 2, dt=dt, n=n)
-        spec = fourier(inverting_pulse(p).materialize(grid))
-        window = np.abs(spec.omegas + p.omega_c) <= 10.0 * p.kappa
-        closed = np.sqrt(p.kappa) / (-0.5 * p.kappa + 1j * (spec.omegas[window] + p.omega_c))
-        assert np.max(np.abs(spec.values[window, 0] - closed) / np.abs(closed)) < 1e-4
+        w, spec = fourier(rising_exp_pulse(grid, p.kappa, p.omega_c))
+        window = np.abs(w + p.omega_c) <= 10.0 * p.kappa
+        closed = np.sqrt(p.kappa) / (-0.5 * p.kappa + 1j * (w[window] + p.omega_c))
+        assert np.max(np.abs(spec[window, 0] - closed) / np.abs(closed)) < 1e-4
 
 
 class TestFeedbackG:

@@ -4,8 +4,8 @@ import pytest
 from photon_slh import (
     FilterStage,
     ModelValidationError,
+    PhotonTransfer,
     TwoLevelParams,
-    cascade,
     from_model,
     memory_g,
     two_channel_g,
@@ -104,14 +104,14 @@ class TestCascade:
     def test_identity_is_neutral(self):
         f = from_model(two_level_model(1.0, 0.3))
         ws = np.linspace(-10, 10, 101)
-        combined = cascade(f, uncoupled_filter(1))
+        combined = PhotonTransfer(stages=f.stages + uncoupled_filter(1).stages)
         assert np.max(np.abs(combined.response_matrix(ws) - f.response_matrix(ws))) < 1e-14
 
     def test_two_stage_phase_doubles(self):
         kappa, wc = 1.0, 0.4
         f = from_model(two_level_model(kappa, wc))
         ws = np.linspace(-20, 20, 201)
-        doubled = cascade(f, f).response_matrix(ws)[:, 0, 0]
+        doubled = PhotonTransfer(stages=f.stages * 2).response_matrix(ws)[:, 0, 0]
         single = f.response_matrix(ws)[:, 0, 0]
         assert np.max(np.abs(doubled - single**2)) < 1e-14
         assert np.max(np.abs(np.abs(doubled) - 1.0)) < 1e-12
@@ -119,7 +119,7 @@ class TestCascade:
     def test_three_stage_matches_memory_oracle(self, rng):
         p = TwoLevelParams(1.2, -0.8)
         f = from_model(two_level_model(p.kappa, p.omega_c))
-        chain = cascade(cascade(f, f), f)
+        chain = PhotonTransfer(stages=f.stages * 3)
         ws = rng.uniform(-30, 30, size=64)
         ws.sort()
         got = chain.response_matrix(ws)[:, 0, 0]
@@ -129,15 +129,15 @@ class TestCascade:
         f1 = from_model(two_level_model(0.7, 0.2))
         f2 = from_model(two_level_model(1.9, -1.1))
         ws = np.linspace(-25, 25, 301)
-        combo = cascade(f1, f2).response_matrix(ws)[:, 0, 0]
+        combo = PhotonTransfer(stages=f1.stages + f2.stages).response_matrix(ws)[:, 0, 0]
         pointwise = f2.response_matrix(ws)[:, 0, 0] * f1.response_matrix(ws)[:, 0, 0]
         assert np.max(np.abs(combo - pointwise)) < 1e-13
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
-            cascade(
-                from_model(two_level_model(1.0, 0.3)),
-                from_model(two_channel_model(1.0, 0.5, 0.3)),
+            PhotonTransfer(
+                stages=from_model(two_level_model(1.0, 0.3)).stages
+                + from_model(two_channel_model(1.0, 0.5, 0.3)).stages
             )
 
 
