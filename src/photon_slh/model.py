@@ -1,12 +1,12 @@
 """Scattering/coupling/Hamiltonian models and their network algebra.
 
-An :class:`SLHModel` bundles a unitary scattering matrix ``S``, a list of
-coupling operators ``L`` (one per field channel), and a Hermitian plant
-Hamiltonian ``H0``.  Models whose channels couple through a single operator,
-``L_k = theta_k * L0``, additionally carry that factorization; only factored
-models can be run through the single-photon linearity check.
+An :class:`SLHModel` bundles a unitary scattering matrix ``S``, a Hermitian
+plant Hamiltonian ``H0`` and channel couplings that all go through one
+operator, ``L_k = theta_k * L0``: a complex profile ``theta`` (one entry per
+field channel) times a single coupling operator ``L0``.  That is the form the
+single-photon transfer result covers, and the only form a model takes here.
 
-The checker verifies five conditions on a factored model:
+The checker verifies five conditions on a model:
 
 * ``ground_energy``        -- ``H0|0> = alpha |0>``
 * ``coupling_annihilates`` -- ``L0|0> = 0``
@@ -21,7 +21,8 @@ extracted scalars are returned as :class:`DerivedParams`.
 
 Network operations: :func:`series_product` feeds one system's output fields
 into another's inputs (operators must already live on a common Hilbert
-space, e.g. via :func:`photon_slh.operators.embed_site`);
+space, e.g. via :func:`photon_slh.operators.embed_site`) and refuses a
+result whose couplings are not all multiples of one operator;
 :func:`feedback_reduce` closes the second channel of a two-channel model
 onto itself, producing a single-channel model whose resonance is shifted by
 the real scalar returned by :func:`feedback_shift`.
@@ -87,47 +88,38 @@ class SingularLoopError(ValueError):
 class SLHModel:
     """Open-system model ``(S, L, H0)`` on an N-level Hilbert space.
 
-    ``S`` is K x K and unitary, ``L`` holds one coupling operator per
-    channel, ``H0`` is Hermitian.  ``theta``/``L0`` are present when the
-    coupling factors as ``L_k = theta_k * L0`` (general models produced by
-    composition may lose that form).
+    ``S`` is K x K and unitary, ``H0`` is Hermitian, and channel ``k``
+    couples through ``L_k = theta_k * L0``: ``theta`` holds K finite complex
+    amplitudes and ``L0`` is one operator on the same space as ``H0``.
     """
 
     S: np.ndarray
+    theta: np.ndarray
+    L0: Operator
     H0: Operator
-    L: tuple
-    theta: Optional[np.ndarray] = None
-    L0: Optional[Operator] = None
 
     def __post_init__(self) -> None:
         s = np.array(self.S, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError(f"S must be square, got shape {s.shape}")
         k = s.shape[0]
-        if len(self.L) != k:
-            raise ValueError(f"{len(self.L)} coupling operators for {k} channels")
+        th = np.array(self.theta, dtype=complex).reshape(-1)
+        if th.shape != (k,):
+            raise ValueError(f"theta has length {th.size} for {k} channels")
+        if not np.all(np.isfinite(th)):
+            raise ValueError("theta entries must be finite")
         defect = np.linalg.norm(s.conj().T @ s - np.eye(k))
         if defect > STRUCTURE_TOL:
             raise ValueError(f"S is not unitary (defect {defect:.3e})")
         herm = np.linalg.norm(self.H0.mat - self.H0.mat.conj().T)
         if herm > STRUCTURE_TOL:
             raise ValueError(f"H0 is not Hermitian (defect {herm:.3e})")
-        for op in self.L:
-            if op.dim != self.H0.dim:
-                raise ValueError("coupling operator dimension does not match H0")
-        if self.theta is not None:
-            th = np.array(self.theta, dtype=complex).reshape(-1)
-            if th.shape != (k,):
-                raise ValueError(f"theta must have length {k}")
-            if self.L0 is None:
-                raise ValueError("theta given without L0")
-            if self.L0.dim != self.H0.dim:
-                raise ValueError("L0 dimension does not match H0")
-            th.setflags(write=False)
-            object.__setattr__(self, "theta", th)
+        if self.L0.dim != self.H0.dim:
+            raise ValueError("L0 dimension does not match H0")
         s.setflags(write=False)
+        th.setflags(write=False)
         object.__setattr__(self, "S", s)
-        object.__setattr__(self, "L", tuple(self.L))
+        object.__setattr__(self, "theta", th)
 
     @property
     def channels(self) -> int:
@@ -138,8 +130,9 @@ class SLHModel:
         return self.H0.dim
 
     @property
-    def is_factored(self) -> bool:
-        return self.theta is not None
+    def L(self) -> tuple:
+        """Per-channel coupling operators ``theta_k * L0``, built on each access."""
+        return tuple(complex(c) * self.L0 for c in self.theta)
 
     @classmethod
     def factored(
@@ -150,28 +143,15 @@ class SLHModel:
         H0: Operator,
     ) -> "SLHModel":
         """Build a model with coupling ``L_k = theta_k * L0``."""
-        th = np.array(theta, dtype=complex).reshape(-1)
-        L = tuple(complex(c) * L0 for c in th)
-        return cls(S=np.array(S, dtype=complex), H0=H0, L=L, theta=th, L0=L0)
-
-    @classmethod
-    def general(cls, S: np.ndarray, L_ops: Sequence[Operator], H0: Operator) -> "SLHModel":
-        """Build a model from explicit per-channel coupling operators.
-
-        A scalar-profile factorization is recovered automatically when the
-        couplings span a rank-one family; otherwise the model is stored
-        unfactored and cannot be run through the condition checker.
-        """
-        ops = tuple(L_ops)
-        theta, l0 = _factor_coupling(ops, H0.dim)
-        return cls(S=np.array(S, dtype=complex), H0=H0, L=ops, theta=theta, L0=l0)
+        return cls(S=S, theta=theta, L0=L0, H0=H0)
 
 
-def _factor_coupling(ops: tuple, dim: int, rtol: float = 1e-12):
-    """Try to write ``ops[k] = theta_k * L0``; return ``(theta, L0)`` or ``(None, None)``."""
+def _factor_coupling(ops: list, dim: int, rtol: float = 1e-12):
+    """Write ``ops[k] = theta_k * L0`` and return ``(theta, L0)``.
+
+    Raises ``ValueError`` when the operators are not all multiples of one.
+    """
     k = len(ops)
-    if k == 0:
-        return None, None
     stacked = np.stack([op.mat.reshape(-1) for op in ops], axis=1)
     scale = np.linalg.norm(stacked)
     if scale == 0.0:
@@ -180,7 +160,10 @@ def _factor_coupling(ops: tuple, dim: int, rtol: float = 1e-12):
         return np.array([1.0 + 0.0j]), ops[0]
     u, sing, _ = np.linalg.svd(stacked, full_matrices=False)
     if sing[1] > rtol * sing[0]:
-        return None, None
+        raise ValueError(
+            "series product does not factor as L_k = theta_k * L0: "
+            "its channel couplings are not multiples of one operator"
+        )
     lead = u[:, 0]
     # Phase convention: largest entry of L0 real and positive.
     j = int(np.argmax(np.abs(lead)))
@@ -267,22 +250,13 @@ def _eigen_condition(name: str, rep: EigenRelationReport) -> ConditionReport:
 
 
 def validate_model(m: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check the single-photon linear-response conditions on a factored model.
+    """Check the single-photon linear-response conditions on a model.
 
     Runs the five checks listed in the module docstring, in order, and
     never raises on a condition failure -- failures are reported.  The
     stability check is strict: ``Re(a) = 0`` fails with a distinct
     "marginally stable" message.
-
-    Raises ``ValueError`` for models whose coupling does not factor as
-    ``theta^T L0`` (composite models can be in that state); the check is
-    only defined for the factored form.
     """
-    if not m.is_factored:
-        raise ValueError(
-            "condition check requires the factored coupling form theta^T L0; "
-            "this model stores general per-channel couplings"
-        )
     e0 = ground_state(m.levels)
     l0 = m.L0
     h0 = m.H0
@@ -314,10 +288,7 @@ def validate_model(m: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
         message="" if h_ok else "eigenrelation fails or eigenvalue is not real",
     )
 
-    algebraic_ok = all(
-        conditions[n].holds
-        for n in ("ground_energy", "coupling_annihilates", "commutator_proportional", "number_eigenrelation")
-    )
+    algebraic_ok = all(conditions[n].holds for n in CONDITION_NAMES[:-1])
 
     params: Optional[DerivedParams] = None
     if algebraic_ok:
@@ -360,9 +331,9 @@ def series_product(g2: SLHModel, g1: SLHModel) -> SLHModel:
 
     Both systems must act on the same Hilbert space (pre-embed components
     with :func:`photon_slh.operators.embed_site`) with equal channel
-    counts.  The result is ``(S2 S1, L2 + S2 L1, H1 + H2 + Im{L2^dag S2 L1})``,
-    stored in general form; the scalar-profile factorization is recovered
-    when possible.
+    counts.  The result is ``(S2 S1, L2 + S2 L1, H1 + H2 + Im{L2^dag S2 L1})``
+    (Gough & James, IEEE TAC 2009), written as ``theta_k * L0``; raises
+    ``ValueError`` when its couplings are not all multiples of one operator.
     """
     if g1.channels != g2.channels:
         raise ValueError(
@@ -373,27 +344,27 @@ def series_product(g2: SLHModel, g1: SLHModel) -> SLHModel:
             f"Hilbert-space dimension mismatch: {g2.levels} vs {g1.levels}"
         )
     k = g1.channels
+    l1, l2 = g1.L, g2.L
     s = g2.S @ g1.S
     new_l = []
     for i in range(k):
-        op = g2.L[i]
+        op = l2[i]
         for j in range(k):
-            op = op + complex(g2.S[i, j]) * g1.L[j]
+            op = op + complex(g2.S[i, j]) * l1[j]
         new_l.append(op)
     cross = zero(g1.levels)
     for i in range(k):
         for j in range(k):
-            cross = cross + complex(g2.S[i, j]) * (g2.L[i].dagger() @ g1.L[j])
+            cross = cross + complex(g2.S[i, j]) * (l2[i].dagger() @ l1[j])
     h = g1.H0 + g2.H0 + _im_operator(cross)
-    return SLHModel.general(s, new_l, h)
+    theta, l0 = _factor_coupling(new_l, g1.levels)
+    return SLHModel(S=s, theta=theta, L0=l0, H0=h)
 
 
 def _loop_gain(m: SLHModel):
     """Common feedback quantities: ``w = S12/(1-S22)`` and ``v = S22/(1-S22)``."""
     if m.channels != 2:
         raise ValueError(f"feedback reduction needs a 2-channel model, got K={m.channels}")
-    if not m.is_factored:
-        raise ValueError("feedback reduction requires the factored coupling form")
     denom = 1.0 - complex(m.S[1, 1])
     if abs(denom) <= SINGULAR_LOOP_TOL:
         raise SingularLoopError(
@@ -468,10 +439,6 @@ def _pairs_to_matrix(data, name: str, shape=None) -> np.ndarray:
 
 
 def model_to_dict(m: SLHModel) -> dict:
-    if not m.is_factored:
-        raise ValueError(
-            "cannot serialize a model whose coupling does not factor as theta^T L0"
-        )
     return {
         "levels": m.levels,
         "channels": m.channels,

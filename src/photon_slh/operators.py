@@ -69,17 +69,6 @@ class Operator:
         """Hermitian adjoint."""
         return Operator(self.mat.conj().T)
 
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self.mat))
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-vector product ``A v``."""
-        v = np.asarray(vec, dtype=complex)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector length {v.shape} does not match dim {self.dim}")
-        return self.mat @ v
-
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_dim(other)
         return Operator(self.mat @ other.mat)
@@ -88,17 +77,10 @@ class Operator:
         self._check_dim(other)
         return Operator(self.mat + other.mat)
 
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.mat - other.mat)
-
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.mat * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.mat)
 
     def _check_dim(self, other: "Operator") -> None:
         if self.dim != other.dim:

@@ -153,6 +153,8 @@ def feedback_g(S, kappa1: float, kappa2: float, omega_c: float, omega):
     s = np.asarray(S, dtype=complex)
     if s.shape != (2, 2):
         raise ValueError("S must be 2x2")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("S entries must be finite")
     denom = 1.0 - s[1, 1]
     if abs(denom) <= SINGULAR_LOOP_TOL:
         raise SingularLoopError(

@@ -238,6 +238,9 @@ class PulseSpec:
         unknown = set(self.params) - set(names)
         if unknown:
             raise ValueError(f"unknown parameters for {self.kind}: {sorted(unknown)}")
+        for name, value in self.params.items():
+            if not math.isfinite(float(value)):
+                raise ValueError(f"pulse parameter {name} must be finite, got {value}")
 
     def materialize(self, grid: TimeGrid, channels: int = 1, channel: int = 0) -> Pulse:
         builder, names = _PULSE_BUILDERS[self.kind]

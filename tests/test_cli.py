@@ -19,6 +19,7 @@ from photon_slh import (
 from photon_slh.cli import main
 from photon_slh.pulses import TimeGrid, gaussian_pulse, read_pulse_csv
 from conftest import BS50, SWAP, two_channel_model, two_level_model
+from test_model import embedded_two_channel_pair
 
 KAPPA, OMEGA_C = 1.0, 0.8
 
@@ -114,6 +115,22 @@ class TestValidate:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: field '{next(iter(edit))}' ")
+
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", ["validate", "shape"])
+    def test_non_finite_theta_exits_1(self, tmp_path, capsys, command, value):
+        doc = model_to_dict(two_channel_model(1.0, 0.5, OMEGA_C))
+        doc["theta"][1][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        argv = [command, str(path)] + (["-o", str(out)] if command == "shape" else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: theta entries must be finite\n"
+        assert not out.exists()
 
 
 class TestShape:
@@ -260,6 +277,26 @@ class TestShape:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "pulse, name, value",
+        [
+            ("gaussian:t0=inf", "t0", "inf"),
+            ("square:t0=-1,t1=inf", "t1", "inf"),
+            ("rising_exp:omega_c=nan", "omega_c", "nan"),
+            ("decaying_exp:t_on=nan", "t_on", "nan"),
+            ("rising_exp:kappa=inf", "kappa", "inf"),
+        ],
+    )
+    def test_non_finite_pulse_parameter_exits_1(
+        self, model_path, tmp_path, capsys, pulse, name, value
+    ):
+        out = tmp_path / "x.csv"
+        assert main(["shape", str(model_path), "--pulse", pulse, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: pulse parameter {name} must be finite, got {value}\n"
+        assert not out.exists()
+
     def test_unknown_pulse_kind(self, model_path, tmp_path):
         assert (
             main(["shape", str(model_path), "--pulse", "sinc", "-o", str(tmp_path / "x.csv")])
@@ -309,6 +346,20 @@ class TestCompose:
 
     def test_series_mismatch_exits_1(self, model_path, swap_path):
         assert main(["compose", "--series", str(model_path), str(swap_path)]) == 1
+
+    def test_series_that_does_not_factor_exits_1(self, tmp_path, capsys):
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for m, path in zip(embedded_two_channel_pair(), paths):
+            save_model(m, path)
+        out = tmp_path / "composed.json"
+        assert main(["compose", "--series", *map(str, paths), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: series product does not factor as L_k = theta_k * L0: "
+            "its channel couplings are not multiples of one operator\n"
+        )
+        assert not out.exists()
 
     def test_round_trip_shapes_identically(self, swap_path, tmp_path):
         # CLI-composed model must shape bit-identically to in-process composition
@@ -561,6 +612,15 @@ class TestOracleCommand:
         assert main(["oracle", which, "-o", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode()
+
+    def test_feedback_g_non_finite_scattering_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        argv = ["oracle", "feedback-g", "--s", "nan", "0", "1", "0", "1", "0", "0", "0"]
+        assert main([*argv, "--omega", "0:1:2", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: S entries must be finite\n"
+        assert not out.exists()
 
     def test_feedback_g_explicit_matrix_singular(self, capsys):
         code = main(

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photon_slh import (
     Operator,
@@ -34,10 +37,33 @@ def joint_memory_model(kappa: float, omega_c: float, n_sites: int = 2) -> SLHMod
         h0 = h0 + (omega_c / 2.0) * embed_site(sz, n, n_sites)
     for j in range(1, n_sites):
         for i in range(j):
-            hop = embed_site(sp, j, n_sites) @ embed_site(sm, i, n_sites)
-            hop = hop - embed_site(sp, i, n_sites) @ embed_site(sm, j, n_sites)
-            h0 = h0 + (kappa / 2j) * hop
+            hop = (embed_site(sp, j, n_sites) @ embed_site(sm, i, n_sites)).mat
+            hop = hop - (embed_site(sp, i, n_sites) @ embed_site(sm, j, n_sites)).mat
+            h0 = h0 + (kappa / 2j) * Operator(hop)
     return SLHModel.factored(np.array([[1.0]]), [np.sqrt(kappa)], l0, h0)
+
+
+def embedded_two_channel_pair():
+    """Two 2-channel emitters on different sites: their series product does not factor."""
+    sm, sz = sigma_minus(), sigma_z()
+    return tuple(
+        SLHModel.factored(
+            np.eye(2), theta, embed_site(sm, site, 2), 0.3 * embed_site(sz, site, 2)
+        )
+        for site, theta in ((0, [1.0, 0.5]), (1, [0.5, 1.0]))
+    )
+
+
+def haar_unitary(rng, k: int) -> np.ndarray:
+    """Haar-random K x K unitary: QR of a complex Ginibre matrix, R's phases removed."""
+    q, r = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def random_hermitian(rng, dim: int) -> Operator:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return Operator((a + a.conj().T) / 2.0)
 
 
 class TestModelInvariants:
@@ -56,6 +82,18 @@ class TestModelInvariants:
     def test_coupling_dimension_must_match(self):
         with pytest.raises(ValueError, match="dimension"):
             SLHModel.factored(np.array([[1.0]]), [1.0], sigma_minus(), zero(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_theta_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="theta entries must be finite"):
+            SLHModel.factored(np.eye(2), [1.0, bad], sigma_minus(), zero(2))
+
+    def test_coupling_is_theta_times_l0(self):
+        m = two_channel_model(1.0, 0.25, 0.3, S=BS50)
+        assert [f.name for f in dataclasses.fields(SLHModel)] == ["S", "theta", "L0", "H0"]
+        assert len(m.L) == m.channels
+        for c, op in zip(m.theta, m.L):
+            assert np.array_equal(op.mat, c * m.L0.mat)
 
 
 class TestValidateModel:
@@ -103,15 +141,6 @@ class TestValidateModel:
         for name in ("ground_energy", "coupling_annihilates", "number_eigenrelation"):
             assert rep.conditions[name].holds
 
-    def test_unfactored_model_rejected(self):
-        # couplings that span rank 2 cannot be checked
-        m = SLHModel.general(
-            np.eye(2), [sigma_minus(), Operator(np.diag([0.0, 1.0]))], zero(2)
-        )
-        assert not m.is_factored
-        with pytest.raises(ValueError, match="factored"):
-            validate_model(m)
-
     def test_report_serializes(self):
         rep = validate_model(two_level_model(1.0, 0.3))
         doc = rep.to_dict()
@@ -152,7 +181,6 @@ class TestSeriesProduct:
         ref = joint_memory_model(kappa, omega_c)
         assert np.max(np.abs(ser.H0.mat - ref.H0.mat)) < 1e-14
         assert np.max(np.abs(ser.L[0].mat - ref.L[0].mat)) < 1e-14
-        assert ser.is_factored
 
     def test_hand_expanded_two_cavity_series(self):
         # distinct phases and couplings, expanded by hand on 2x2 operators
@@ -177,6 +205,42 @@ class TestSeriesProduct:
         assert np.max(np.abs(left.S - right.S)) < 1e-12
         assert np.max(np.abs(left.L[0].mat - right.L[0].mat)) < 1e-12
         assert np.max(np.abs(left.H0.mat - right.H0.mat)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_gough_james_formula(self, k, seed):
+        # (S2 S1, L2 + S2 L1, H1 + H2 + Im{L2^dag S2 L1}) on a shared L0 = sigma_minus
+        rng = np.random.default_rng(seed)
+        g1, g2 = (
+            SLHModel.factored(
+                haar_unitary(rng, k),
+                rng.normal(size=k) + 1j * rng.normal(size=k),
+                sigma_minus(),
+                random_hermitian(rng, 2),
+            )
+            for _ in range(2)
+        )
+        out = series_product(g2, g1)
+        s2 = g2.S
+        l1 = [op.mat for op in g1.L]
+        l2 = [op.mat for op in g2.L]
+        assert np.max(np.abs(out.S - s2 @ g1.S)) <= 1e-12
+        for i, op in enumerate(out.L):
+            expected = l2[i] + sum(s2[i, j] * l1[j] for j in range(k))
+            assert np.max(np.abs(op.mat - expected)) <= 1e-12
+        cross = sum(s2[i, j] * (l2[i].conj().T @ l1[j]) for i in range(k) for j in range(k))
+        expected_h = g1.H0.mat + g2.H0.mat + (cross - cross.conj().T) / 2j
+        assert np.max(np.abs(out.H0.mat - expected_h)) <= 1e-12
+        back = model_from_dict(json.loads(json.dumps(model_to_dict(out))))
+        assert np.array_equal(back.S, out.S)
+        assert np.array_equal(back.theta, out.theta)
+        assert np.array_equal(back.L0.mat, out.L0.mat)
+        assert np.array_equal(back.H0.mat, out.H0.mat)
+
+    def test_non_factoring_result_refused(self):
+        first, second = embedded_two_channel_pair()
+        with pytest.raises(ValueError, match=r"does not factor as L_k = theta_k \* L0"):
+            series_product(second, first)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
@@ -286,10 +350,3 @@ class TestModelJson:
         doc[key][0][0][1] = value
         with pytest.raises(ValueError, match=f"field '{key}' entries must be finite"):
             model_from_dict(doc)
-
-    def test_unfactored_model_not_serializable(self):
-        m = SLHModel.general(
-            np.eye(2), [sigma_minus(), Operator(np.diag([0.0, 1.0]))], zero(2)
-        )
-        with pytest.raises(ValueError, match="factor"):
-            model_to_dict(m)

@@ -51,9 +51,11 @@ class TestTwoLevelG:
         (lambda bad: feedback_g(SWAP, bad, 1.0, 0.0, 0.0), "kappa1"),
         (lambda bad: feedback_g(SWAP, 1.0, bad, 0.0, 0.0), "kappa2"),
         (lambda bad: feedback_g(SWAP, 1.0, 1.0, bad, 0.0), "omega_c"),
+        (lambda bad: feedback_g([[bad, 1.0], [1.0, 0.0]], 1.0, 1.0, 0.0, 0.0), "S entries"),
     ],
     ids=["params-kappa", "params-omega_c", "two-channel-kappa1", "two-channel-kappa2",
-         "two-channel-omega_c", "feedback-kappa1", "feedback-kappa2", "feedback-omega_c"],
+         "two-channel-omega_c", "feedback-kappa1", "feedback-kappa2", "feedback-omega_c",
+         "feedback-S"],
 )
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_parameters_must_be_finite(call, name, bad):

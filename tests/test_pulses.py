@@ -142,6 +142,11 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match="unknown pulse kind"):
             PulseSpec(kind="triangle")
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_params_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="pulse parameter sigma must be finite"):
+            PulseSpec(kind="gaussian", params={"t0": 0.0, "sigma": bad})
+
     def test_missing_params(self):
         with pytest.raises(ValueError, match="needs parameters"):
             PulseSpec(kind="gaussian").materialize(offset_grid(10.0, 8))
