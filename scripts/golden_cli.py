@@ -1,0 +1,244 @@
+"""Golden comparison of the ``photon-slh`` command line between two source trees.
+
+    python3 scripts/golden_cli.py run ROOT OUT   # record ROOT's CLI output in OUT
+    python3 scripts/golden_cli.py diff A B       # compare two recorded directories
+
+``run`` writes a fixed set of model files into ``OUT/models`` and runs a fixed
+list of commands, each as ``python -m photon_slh.cli`` with ``ROOT/src`` on
+``PYTHONPATH`` and ``OUT`` as the working directory, so every path in the
+output is relative.  It covers every subcommand: ``shape`` by fft, ode and
+both at K = 1 and 2 and cascade 1 and 3, a ``csv:`` read-back, and the error
+exits.  Per command it keeps ``OUT/<name>/exit``, ``stdout``, ``stderr`` and
+the files the command wrote.  A traceback is kept as its last line, since its
+file paths and line numbers name the tree, not the behaviour.
+
+``diff`` prints one line per command.  Exit codes, stderr, CSV headers, row
+counts, JSON keys and every non-numeric value must match exactly; for each
+numeric CSV column and JSON number it prints the maximum absolute difference.
+It exits 1 when anything that must match exactly differs, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+
+SQRT_HALF = math.sqrt(0.5)
+BS50 = [[[SQRT_HALF, 0.0], [0.0, SQRT_HALF]], [[0.0, SQRT_HALF], [SQRT_HALF, 0.0]]]
+SIGMA_MINUS = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+def _model(s, theta, omega_c):
+    """Two-level model document: L_k = theta_k sigma_minus, H0 = (omega_c / 2) sigma_z."""
+    half = 0.5 * omega_c
+    return {
+        "levels": 2,
+        "channels": len(theta),
+        "S": s,
+        "theta": [[t, 0.0] for t in theta],
+        "L0": SIGMA_MINUS,
+        "H0": [[[-half, 0.0], [0.0, 0.0]], [[0.0, 0.0], [half, 0.0]]],
+    }
+
+
+MODELS = {
+    "k1": _model([[[1.0, 0.0]]], [1.0], 0.8),
+    "k2": _model(BS50, [1.0, 0.6], 0.3),
+    "high_q": _model([[[1.0, 0.0]]], [0.1], 100.0),  # kappa 0.01: the self-test fails
+    "unstable": _model([[[1.0, 0.0]]], [0.0], 0.8),  # no coupling: stability fails
+}
+
+
+def _commands():
+    cmds = [("validate_" + m, ["validate", f"models/{m}.json"]) for m in ("k1", "k2", "unstable")]
+    for m in ("k1", "k2"):
+        for cascade in (1, 3):
+            for method in ("fft", "ode", "both"):
+                name = f"shape_{m}_c{cascade}_{method}"
+                cmds.append((name, ["shape", f"models/{m}.json", "--cascade", str(cascade),
+                                    "--method", method, "-o", f"{name}.csv"]))
+    for m, pulse, extra in (
+        ("k1", "rising_exp", []),
+        ("k1", "decaying_exp", []),
+        ("k2", "square", ["--log2-n", "12"]),
+        ("k2", "gaussian", ["--channel", "1"]),
+        ("k1", "gaussian:t0=-3,sigma=0.5", ["--dt", "0.01", "--log2-n", "12"]),
+        ("k1", "csv:shape_k1_c1_fft/shape_k1_c1_fft.csv", []),
+        ("k2", "csv:shape_k2_c1_fft/shape_k2_c1_fft.csv", []),
+    ):
+        name = f"shape_{m}_{pulse.split(':')[0]}_{len(cmds)}"
+        cmds.append((name, ["shape", f"models/{m}.json", "--pulse", pulse, *extra,
+                            "--method", "both", "-o", f"{name}.csv"]))
+    cmds += [
+        ("sweep_k1", ["sweep", "models/k1.json", "--omega=-10:10:401"]),
+        ("sweep_k2", ["sweep", "models/k2.json", "--omega=-10:10:201", "-o", "sweep_k2.csv"]),
+        ("compose_series", ["compose", "--series", "models/k1.json", "models/k1.json"]),
+        ("compose_feedback", ["compose", "--feedback", "models/k2.json", "-o", "fb.json"]),
+        ("oracle_two_level", ["oracle", "two-level-g", "--kappa", "1.3", "--omega-c", "0.4"]),
+        ("oracle_two_channel", ["oracle", "two-channel-g", "--kappa2", "0.36"]),
+        ("oracle_memory_g", ["oracle", "memory-g", "--n", "3"]),
+        ("oracle_memory_kernel", ["oracle", "memory-kernel", "--n", "5"]),
+        ("oracle_inverting", ["oracle", "inverting-pulse", "--log2-n", "10"]),
+        ("oracle_feedback_bs50", ["oracle", "feedback-g", "--scattering", "bs50"]),
+        # error exits
+        ("err_missing_model", ["validate", "models/none.json"]),
+        ("err_sweep_unstable", ["sweep", "models/unstable.json", "--omega", "0:1:2"]),
+        ("err_short_grid", ["shape", "models/k1.json", "--dt", "0.001", "--log2-n", "8",
+                            "-o", "err_short_grid.csv"]),
+        ("err_coarse_ode", ["shape", "models/k1.json", "--dt", "1", "--method", "ode",
+                            "-o", "err_coarse_ode.csv"]),
+        ("err_cascade_0", ["shape", "models/k1.json", "--cascade", "0", "-o", "err_c0.csv"]),
+        ("err_pulse_nan", ["shape", "models/k1.json", "--pulse", "gaussian:t0=nan",
+                           "-o", "err_nan.csv"]),
+        ("err_high_q", ["shape", "models/high_q.json", "-o", "err_high_q.csv"]),
+        ("err_feedback_singular", ["oracle", "feedback-g", "--s", *"1 0 0 0 0 0 1 0".split()]),
+        ("err_feedback_non_unitary", ["oracle", "feedback-g", "--s", *"0 0 2 0 2 0 0 0".split(),
+                                      "--omega", "0:1:2"]),
+    ]
+    return cmds
+
+
+def _stderr(text: str) -> str:
+    return text.strip().splitlines()[-1] + "\n" if "Traceback" in text else text
+
+
+def run(root: str, out: str) -> None:
+    shutil.rmtree(out, ignore_errors=True)
+    os.makedirs(os.path.join(out, "models"))
+    for name, doc in MODELS.items():
+        with open(os.path.join(out, "models", f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+    env.pop("PHOTON_SLH_TOL", None)
+    for name, argv in _commands():
+        before = set(os.listdir(out))
+        proc = subprocess.run([sys.executable, "-m", "photon_slh.cli", *argv], cwd=out,
+                              env=env, capture_output=True, text=True, timeout=300)
+        rec = os.path.join(out, name)
+        os.makedirs(rec)
+        for new in sorted(set(os.listdir(out)) - before - {name}):
+            shutil.move(os.path.join(out, new), os.path.join(rec, new))
+        for part, text in (("exit", f"{proc.returncode}\n"), ("stdout", proc.stdout),
+                           ("stderr", _stderr(proc.stderr))):
+            with open(os.path.join(rec, part), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        print(f"{proc.returncode}  {name}")
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _compare_csv(a: str, b: str, where: str, diffs: dict, faults: list) -> None:
+    ra, rb = a.splitlines(), b.splitlines()
+    if ra[:1] != rb[:1] or len(ra) != len(rb):
+        faults.append(f"{where}: header or row count differs ({len(ra)} vs {len(rb)} lines)")
+        return
+    names = ra[0].split(",")
+    for la, lb in zip(ra[1:], rb[1:]):
+        fa, fb = la.split(","), lb.split(",")
+        if len(fa) != len(fb):
+            faults.append(f"{where}: row '{la}' vs '{lb}'")
+            return
+        for col, x, y in zip(names, fa, fb):
+            nx, ny = _number(x), _number(y)
+            if nx is None or ny is None:
+                if x != y:
+                    faults.append(f"{where}: column {col}: '{x}' vs '{y}'")
+                    return
+            else:
+                key = f"{where}:{col}"
+                diffs[key] = max(diffs.get(key, 0.0), abs(nx - ny))
+
+
+def _compare_json(a, b, where: str, diffs: dict, faults: list) -> None:
+    if isinstance(a, dict) and isinstance(b, dict):
+        if sorted(a) != sorted(b):
+            faults.append(f"{where}: keys {sorted(a)} vs {sorted(b)}")
+            return
+        for key in a:
+            _compare_json(a[key], b[key], f"{where}.{key}", diffs, faults)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _compare_json(x, y, f"{where}[{i}]", diffs, faults)
+    elif (isinstance(a, (int, float)) and isinstance(b, (int, float))
+          and not isinstance(a, bool) and not isinstance(b, bool)):
+        diffs[where] = max(diffs.get(where, 0.0), abs(a - b))
+    elif a != b:
+        faults.append(f"{where}: {a!r} vs {b!r}")
+
+
+def _compare_text(a: str, b: str, where: str, diffs: dict, faults: list) -> None:
+    if a == b:
+        return
+    try:
+        _compare_json(json.loads(a), json.loads(b), where, diffs, faults)
+        return
+    except ValueError:
+        pass
+    if "," in a.partition("\n")[0]:
+        _compare_csv(a, b, where, diffs, faults)
+    else:
+        faults.append(f"{where}: text differs")
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def diff(dir_a: str, dir_b: str) -> int:
+    names = [name for name, _ in _commands()]
+    failed = 0
+    overall = 0.0
+    for name in names:
+        pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
+        faults, diffs = [], {}
+        files_a, files_b = sorted(os.listdir(pa)), sorted(os.listdir(pb))
+        if files_a != files_b:
+            faults.append(f"files {files_a} vs {files_b}")
+        for part in ("exit", "stderr"):
+            if _read(os.path.join(pa, part)) != _read(os.path.join(pb, part)):
+                faults.append(f"{part}: {_read(os.path.join(pa, part))!r} vs "
+                              f"{_read(os.path.join(pb, part))!r}")
+        for f in sorted(set(files_a) & set(files_b) - {"exit", "stderr"}):
+            _compare_text(_read(os.path.join(pa, f)), _read(os.path.join(pb, f)), f, diffs, faults)
+        worst = max(diffs.values(), default=0.0)
+        overall = max(overall, worst)
+        if faults:
+            failed += 1
+            print(f"DIFFER     {name}")
+            for fault in faults:
+                print(f"    {fault}")
+        elif worst == 0.0:
+            print(f"identical  {name}")
+        else:
+            print(f"numeric    {name}: max |diff| {worst:.3g}")
+            for key, value in sorted(diffs.items()):
+                if value > 0.0:
+                    print(f"    {key}: {value:.3g}")
+    print(f"{len(names)} commands, {failed} with exact differences, "
+          f"largest numeric difference {overall:.3g}")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "run":
+        run(args[1], args[2])
+        return 0
+    if len(args) == 3 and args[0] == "diff":
+        return diff(args[1], args[2])
+    print("usage:\n" + "\n".join(__doc__.splitlines()[2:4]), file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -84,6 +84,13 @@ class SingularLoopError(ValueError):
     """Feedback loop ``1 - S22`` is (numerically) singular."""
 
 
+def require_unitary(s: np.ndarray) -> None:
+    """Raise :class:`ValueError` unless the square matrix ``s`` is unitary to STRUCTURE_TOL."""
+    defect = np.linalg.norm(s.conj().T @ s - np.eye(s.shape[0]))
+    if defect > STRUCTURE_TOL:
+        raise ValueError(f"S is not unitary (defect {defect:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class SLHModel:
     """Open-system model ``(S, L, H0)`` on an N-level Hilbert space.
@@ -108,9 +115,7 @@ class SLHModel:
             raise ValueError(f"theta has length {th.size} for {k} channels")
         if not np.all(np.isfinite(th)):
             raise ValueError("theta entries must be finite")
-        defect = np.linalg.norm(s.conj().T @ s - np.eye(k))
-        if defect > STRUCTURE_TOL:
-            raise ValueError(f"S is not unitary (defect {defect:.3e})")
+        require_unitary(s)
         herm = np.linalg.norm(self.H0.mat - self.H0.mat.conj().T)
         if herm > STRUCTURE_TOL:
             raise ValueError(f"H0 is not Hermitian (defect {herm:.3e})")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SingularLoopError, SINGULAR_LOOP_TOL
+from .model import SingularLoopError, SINGULAR_LOOP_TOL, require_unitary
 
 __all__ = [
     "TwoLevelParams",
@@ -143,9 +143,9 @@ def feedback_g(S, kappa1: float, kappa2: float, omega_c: float, omega):
                  (+|theta|^2/2 + i(w + w_c + Delta)).
 
     Real scattering gives ``Delta = 0``; the complex case only adds the
-    shift.  The coupling enters through its modulus squared, which keeps the
-    loop response all-pass (for a unitary ``S``) and matches the filter
-    pipeline on the reduced model.
+    shift.  ``S`` must be unitary, as in an ``SLHModel``.  The coupling enters
+    through its modulus squared, which keeps the loop response all-pass and
+    matches the filter pipeline on the reduced model.
     """
     if not (kappa1 > 0.0 and kappa2 > 0.0):
         raise ValueError("kappa1 and kappa2 must be positive")
@@ -155,6 +155,7 @@ def feedback_g(S, kappa1: float, kappa2: float, omega_c: float, omega):
         raise ValueError("S must be 2x2")
     if not np.all(np.isfinite(s)):
         raise ValueError("S entries must be finite")
+    require_unitary(s)
     denom = 1.0 - s[1, 1]
     if abs(denom) <= SINGULAR_LOOP_TOL:
         raise SingularLoopError(

@@ -13,13 +13,13 @@ Two independent shaping paths are provided:
 * :func:`shape_fft` multiplies the pulse spectrum by the filter response per
   frequency bin (the delta feedthrough is applied exactly in the time
   domain, never discretized);
-* :func:`shape_ode` integrates, per stage, the one-pole state
-  ``eta' = a eta + xi`` with classical fixed-step fourth-order stepping
-  (input interpolated linearly between samples) and forms
-  ``xi_out = S xi + h theta theta^dag S eta``.  A step is linear in
-  ``eta[m]``, ``xi[m]`` and ``xi[m+1]``, so it is the first-order recurrence
-  ``eta[m+1] = r eta[m] + c0 xi[m] + c1 xi[m+1]`` with scalars fixed by
-  ``a dt``, solved for all samples at once by a log-depth doubling scan.
+* :func:`shape_ode` integrates, per stage, the scalar state
+  ``eta' = a eta + drive . xi`` (``drive = h theta^dag S``) by classical
+  fixed-step RK4 (input linear between samples) and forms
+  ``xi_out = S xi + theta eta``.  A step is linear in ``eta[m]``, ``xi[m]``
+  and ``xi[m+1]``: the recurrence ``eta[m+1] = r eta[m] + drive . (c0 xi[m]
+  + c1 xi[m+1])`` with scalars fixed by ``a dt``, solved for all samples at
+  once by a log-depth doubling scan.
 
 They approximate the same continuum result and serve as cross-oracles.
 """
@@ -268,13 +268,10 @@ def _check_span(p: Pulse, f: PhotonTransfer) -> None:
     span = p.grid.span
     worst = 0.0
     for st in f.stages:
-        if np.all(st.kernel_matrix == 0.0):
-            continue
-        # Kernel energy left beyond half the span (the other half holds the input).
-        tail = np.exp(2.0 * st.a.real * (span / 2.0))
-        needed = 2.0 * np.log(TAIL_ENERGY_TOL) / (2.0 * st.a.real)
-        if tail > TAIL_ENERGY_TOL:
-            worst = max(worst, needed)
+        # Kernel energy exp(2 Re(a) t) left beyond half the span (the other half
+        # holds the input); a stage with theta or drive zero has no kernel.
+        if np.any(st.theta) and np.any(st.drive) and np.exp(st.a.real * span) > TAIL_ENERGY_TOL:
+            worst = max(worst, np.log(TAIL_ENERGY_TOL) / st.a.real)
     if worst > 0.0:
         raise GridSpanError(
             f"grid span {span:.6g} too short for the filter kernel to settle; "
@@ -293,31 +290,29 @@ def _match_channels(p: Pulse, f: PhotonTransfer) -> None:
 def shape_fft(p: Pulse, f: PhotonTransfer) -> Pulse:
     """Shape a pulse through the filter in the frequency domain.
 
-    Per FFT bin, the output spectrum is ``G(i w)`` times the input spectrum.
-    The constant feedthrough is split off and applied exactly to the time
-    samples; only the strictly proper part passes through the FFT pair.
+    Per FFT bin, :meth:`PhotonTransfer.apply` multiplies the input spectrum by
+    ``G(i w)``.  The feedthrough ``D`` is applied exactly to the time samples;
+    only the strictly proper part ``G x - D x`` passes through the FFT pair.
     Raises :class:`GridSpanError` when the kernel cannot settle on the grid.
     """
     _match_channels(p, f)
     _check_span(p, f)
-    w = p.grid.omegas()
-    g = f.response_matrix(w)
-    d = f.feedthrough
+    d_t = f.feedthrough.T
     spec = np.fft.fft(p.samples, axis=0)
-    smooth = np.einsum("nij,nj->ni", g - d[None, :, :], spec)
-    out = p.samples @ d.T + np.fft.ifft(smooth, axis=0)
+    smooth = f.apply(p.grid.omegas(), spec) - spec.dot(d_t)
+    out = p.samples.dot(d_t) + np.fft.ifft(smooth, axis=0)
     return Pulse(grid=p.grid, samples=out)
 
 
 def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
     """Shape a pulse through the filter by time-domain integration.
 
-    Independent oracle for :func:`shape_fft`: every stage integrates
-    ``eta' = a eta + xi`` from rest with classical fourth-order fixed-step
-    stepping (linear interpolation of the input between samples) and emits
-    ``S xi + h theta theta^dag S eta``.  The four RK4 stages are linear in
-    ``eta[m]``, ``xi[m]`` and ``xi[m+1]``; expanded, a step is exactly
-    ``eta[m+1] = r eta[m] + c0 xi[m] + c1 xi[m+1]`` with ``z = a dt``,
+    Independent oracle for :func:`shape_fft`: every stage integrates its one
+    scalar state ``eta' = a eta + drive . xi`` from rest with classical
+    fourth-order fixed-step stepping (linear interpolation of the input
+    between samples) and emits ``S xi + theta eta``.  The four RK4 stages are
+    linear in ``eta[m]``, ``xi[m]`` and ``xi[m+1]``; expanded, a step is exactly
+    ``eta[m+1] = r eta[m] + drive . (c0 xi[m] + c1 xi[m+1])`` with ``z = a dt``,
     ``r = 1 + q``, ``q = z + z^2/2 + z^3/6 + z^4/24``,
     ``c0 = dt (6 + 4z + 3z^2/2 + z^3/2) / 12`` and
     ``c1 = dt (6 + 2z + z^2/2) / 12`` (both ``dt/2``, the trapezoid rule,
@@ -325,10 +320,10 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
 
     Each stage solves the recurrence from ``eta[0] = 0`` by a doubling scan
     (Kogge & Stone 1973; Blelloch 1990): starting from the inputs
-    ``c0 xi[m] + c1 xi[m+1]``, the level of stride ``s`` adds ``r^s`` times
-    the partial sum ``s`` samples earlier, so ``log2(n)`` whole-array levels
-    replace ``n`` sequential steps.  Every output picks up one rounded power
-    per level, an error of about ``log2(n) eps |eta|``.  The powers are
+    ``xi[m] . (c0 drive) + xi[m+1] . (c1 drive)``, the level of stride ``s``
+    adds ``r^s`` times the partial sum ``s`` samples earlier, so ``log2(n)``
+    whole-array levels replace ``n`` sequential steps.  Every output picks up
+    one rounded power per level, an error of about ``log2(n) eps |eta|``.  The powers are
     carried as ``p_s = r^s - 1`` through ``p_2s = p_s (2 + p_s)``, apart from
     the 1: a rounded ``r = 1 + q`` keeps only the bits of ``q`` that fit
     beside 1, a relative error of ``eps / |z|`` in the decay per step, and
@@ -347,18 +342,19 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
         q = z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
         c0 = dt * (6.0 + 4.0 * z + 1.5 * z**2 + 0.5 * z**3) / 12.0
         c1 = dt * (6.0 + 2.0 * z + 0.5 * z**2) / 12.0
-        eta = np.zeros_like(x)
+        eta = np.zeros(x.shape[0], dtype=complex)
         b = eta[1:]  # b[m] becomes eta[m + 1]
         tmp = np.empty_like(b)
-        np.multiply(x[:-1], c0, out=b)
-        b += np.multiply(x[1:], c1, out=tmp)
+        x[:-1].dot(c0 * st.drive, out=b)
+        b += x[1:].dot(c1 * st.drive, out=tmp)
         # After the level of stride s, b[m] sums the last 2s terms; p_s = r^s - 1.
         p_s, s = q, 1
         while s < b.shape[0]:
             np.multiply(b[:-s], 1.0 + p_s, out=tmp[:-s])
             b[s:] += tmp[:-s]
             p_s, s = p_s * (2.0 + p_s), 2 * s
-        x = x @ st.S.T + eta @ st.kernel_matrix.T
+        x = x.dot(st.S.T)
+        x += np.multiply.outer(eta, st.theta)
     return Pulse(grid=p.grid, samples=x)
 
 

@@ -1,18 +1,17 @@
 """Linear single-photon transfer filters.
 
-A validated model acts on a single-photon pulse as a one-pole matrix filter:
-the impulse response is a delta feedthrough ``S`` plus the smooth kernel
-``h * theta theta^dag * exp(a t) * S`` for ``t >= 0``.  Filters compose by
-cascade, ``PhotonTransfer(stages=f1.stages + f2.stages)`` for ``f2`` after
-``f1``; the frequency response of a cascade is the ordered matrix product of
-the per-stage responses
+A validated model acts on a single-photon pulse as a cascade of one-pole
+stages.  A stage ``(S, theta, h, a)`` adds to its feedthrough ``S`` a rank-one
+term built from the row ``drive = h theta^dag S``,
 
-    G(i w) = S + h (theta theta^dag) S / (i w - a).
+    G(i w) = S + theta drive / (i w - a),
 
-Stages keep their poles exact instead of multiplying the rational functions
-out, so long chains stay well conditioned.  The delta part is never placed
-on a time grid; time-domain shaping (see :mod:`photon_slh.pulses`) applies
-``S`` exactly and convolves only the smooth kernel.
+so its impulse response is ``S delta(t) + theta drive exp(a t)`` for
+``t >= 0``, one scalar state per stage.  ``PhotonTransfer(stages=f1.stages +
+f2.stages)`` is ``f2`` after ``f1``.  A cascade applies this update stage by
+stage, never forming a per-frequency matrix, and keeps each pole exact, so
+long chains stay well conditioned.  Time-domain shaping (:mod:`photon_slh.pulses`)
+applies ``S`` exactly and convolves only the smooth kernel.
 """
 
 from __future__ import annotations
@@ -54,7 +53,10 @@ def _exp_integral(a: complex) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class FilterStage:
-    """One pole of the filter: feedthrough ``S`` plus ``h theta theta^dag e^{at} S``."""
+    """One pole of the filter: feedthrough ``S`` plus ``theta drive e^{at}``.
+
+    ``drive = h theta^dag S`` is the row that feeds the stage's scalar state.
+    """
 
     S: np.ndarray
     theta: np.ndarray
@@ -68,44 +70,31 @@ class FilterStage:
             raise ValueError(f"stage S must be square, got shape {s.shape}")
         if th.shape[0] != s.shape[0]:
             raise ValueError("stage theta length must match the channel count")
-        a = complex(self.a)
-        if not a.real < 0.0:
-            raise ValueError(f"stage pole must have Re(a) < 0, got {a}")
-        kernel = float(self.h) * np.outer(th, th.conj()) @ s
-        s.setflags(write=False)
-        th.setflags(write=False)
-        kernel.setflags(write=False)
-        object.__setattr__(self, "S", s)
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "_kernel", kernel)
+        for name, value in (("S", s), ("theta", th), ("h", float(self.h)), ("a", complex(self.a))):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"stage {name} must be finite")
+            object.__setattr__(self, name, value)
+        if not self.a.real < 0.0:
+            raise ValueError(f"stage pole must have Re(a) < 0, got {self.a}")
+        object.__setattr__(self, "drive", self.h * th.conj().dot(s))
+        for arr in (s, th, self.drive):
+            arr.setflags(write=False)
         self._self_test()
 
     @property
     def channels(self) -> int:
         return self.S.shape[0]
 
-    @property
-    def kernel_matrix(self) -> np.ndarray:
-        """Constant matrix factor of the smooth kernel, ``h theta theta^dag S``."""
-        return self._kernel
-
     def _self_test(self) -> None:
         # Zero-frequency response by formula vs direct kernel quadrature.
-        formula = self.S - self._kernel / self.a
-        quad = self.S + self._kernel * _exp_integral(self.a)
+        kernel = np.multiply.outer(self.theta, self.drive)
+        formula = self.S - kernel / self.a
+        quad = self.S + kernel * _exp_integral(self.a)
         residual = float(np.linalg.norm(formula - quad))
         if residual > SELF_TEST_TOL:
             raise RuntimeError(
                 f"stage self-test failed: zero-frequency residual {residual:.3e}"
             )
-
-    def response(self, omegas: np.ndarray) -> np.ndarray:
-        """Per-frequency response, shape ``(len(omegas), K, K)``."""
-        w = np.asarray(omegas, dtype=float).reshape(-1)
-        gain = 1.0 / (1j * w - self.a)
-        return self.S[None, :, :] + gain[:, None, None] * self._kernel[None, :, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,15 +124,24 @@ class PhotonTransfer:
             d = st.S @ d
         return d
 
+    def apply(self, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``G(i w_m)`` times row ``m`` of ``rows`` (shape ``(n, K)``), as a new array.
+
+        Per stage, on the rows ``y``: ``c = y . drive / (i w - a)``, ``y <- y S^T + c theta^T``.
+        """
+        iw = 1j * np.asarray(omegas, dtype=float).reshape(-1)
+        for st in self.stages:
+            c = rows.dot(st.drive)
+            c /= iw - st.a
+            rows = rows.dot(st.S.T)
+            rows += np.multiply.outer(c, st.theta)
+        return rows
+
     def response_matrix(self, omegas: np.ndarray) -> np.ndarray:
         """Cascade response ``G(i w)`` at each frequency, shape ``(n, K, K)``."""
-        w = np.asarray(omegas, dtype=float).reshape(-1)
-        total = np.broadcast_to(
-            np.eye(self.channels, dtype=complex), (w.size, self.channels, self.channels)
-        ).copy()
-        for st in self.stages:
-            total = np.einsum("nij,njk->nik", st.response(w), total)
-        return total
+        n = np.size(omegas)
+        units = np.eye(self.channels, dtype=complex)
+        return np.stack([self.apply(omegas, np.broadcast_to(e, (n, e.size))) for e in units], -1)
 
 
 def from_model(m: SLHModel, tol: float = DEFAULT_TOL) -> PhotonTransfer:
@@ -159,4 +157,3 @@ def from_model(m: SLHModel, tol: float = DEFAULT_TOL) -> PhotonTransfer:
     return PhotonTransfer(
         stages=(FilterStage(S=m.S, theta=m.theta, h=p.h, a=p.a),)
     )
-

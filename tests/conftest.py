@@ -56,6 +56,29 @@ def inverse_fourier(values, grid: TimeGrid) -> np.ndarray:
     return np.fft.ifft(vals, axis=0) / grid.dt
 
 
+def haar_unitary(rng, k: int) -> np.ndarray:
+    """Haar-random K x K unitary: QR of a complex Ginibre matrix, R's phases removed."""
+    q, r = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def dense_kernel(stage: FilterStage) -> np.ndarray:
+    """The stage's K x K kernel matrix ``h theta theta^dag S``, built from its fields."""
+    return stage.h * np.outer(stage.theta, stage.theta.conj()) @ stage.S
+
+
+def dense_response(f: PhotonTransfer, omegas) -> np.ndarray:
+    """Reference ``G(i w)``, shape ``(n, K, K)``: the ordered product of the dense
+    per-stage matrices ``S + h theta theta^dag S / (i w - a)``."""
+    w = np.asarray(omegas, dtype=float).reshape(-1)
+    total = np.eye(f.channels, dtype=complex)
+    for stage in f.stages:
+        g = stage.S + dense_kernel(stage) / (1j * w - stage.a)[:, None, None]
+        total = g @ total
+    return total
+
+
 def uncoupled_filter(channels: int) -> PhotonTransfer:
     """One stage with no coupling, so ``G(i w) = I`` whatever its (stable) pole."""
     stage = FilterStage(S=np.eye(channels), theta=np.zeros(channels), h=0.0, a=-1.0)

@@ -622,6 +622,16 @@ class TestOracleCommand:
         assert captured.err == "error: S entries must be finite\n"
         assert not out.exists()
 
+    def test_feedback_g_non_unitary_scattering_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        argv = ["oracle", "feedback-g", "--s", "0", "0", "2", "0", "2", "0", "0", "0"]
+        assert main([*argv, "--omega", "0:1:2", "-o", str(out)]) == 1
+        assert not out.exists()
+        assert main([*argv, "--omega", "0:1:2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: S is not unitary (defect 4.243e+00)\n" * 2
+
     def test_feedback_g_explicit_matrix_singular(self, capsys):
         code = main(
             ["oracle", "feedback-g", "--s", "1", "0", "0", "0", "0", "0", "1", "0"]

@@ -24,7 +24,7 @@ from photon_slh import (
     validate_model,
     zero,
 )
-from conftest import BS50, SWAP, two_channel_model, two_level_model
+from conftest import BS50, SWAP, haar_unitary, two_channel_model, two_level_model
 
 
 def joint_memory_model(kappa: float, omega_c: float, n_sites: int = 2) -> SLHModel:
@@ -52,13 +52,6 @@ def embedded_two_channel_pair():
         )
         for site, theta in ((0, [1.0, 0.5]), (1, [0.5, 1.0]))
     )
-
-
-def haar_unitary(rng, k: int) -> np.ndarray:
-    """Haar-random K x K unitary: QR of a complex Ginibre matrix, R's phases removed."""
-    q, r = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 def random_hermitian(rng, dim: int) -> Operator:

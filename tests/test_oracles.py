@@ -241,6 +241,16 @@ class TestFeedbackG:
         with pytest.raises(SingularLoopError):
             feedback_g(np.eye(2), 1.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9])
+    def test_non_unitary_scattering_refused(self, scale):
+        # the loop is all-pass only for unitary S; 2 x SWAP gave |G|^2 = 16
+        with pytest.raises(ValueError, match=r"^S is not unitary \(defect "):
+            feedback_g(scale * SWAP, 1.0, 1.0, 0.0, 0.0)
+
+    def test_unitary_within_structure_tolerance_accepted(self):
+        g = feedback_g((1.0 + 1e-12) * SWAP, 1.0, 1.0, 0.0, np.array([0.0, 1.0]))
+        assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-10
+
     @pytest.mark.parametrize("scattering", [SWAP, BS50], ids=["swap", "bs50"])
     def test_matches_reduction_pipeline(self, scattering, rng):
         k1, k2, wc = 1.0, 0.5, 2.0

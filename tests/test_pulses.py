@@ -27,7 +27,9 @@ from photon_slh.pulses import parse_pulse_spec
 from conftest import (
     BS50,
     SWAP,
+    dense_kernel,
     fourier,
+    haar_unitary,
     inverse_fourier,
     two_channel_model,
     two_level_model,
@@ -279,34 +281,28 @@ def rk4_reference(p: Pulse, f: PhotonTransfer) -> np.ndarray:
             k4 = dt * (a * (cur + k3) + xm1)
             cur = cur + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             eta[m + 1] = cur
-        x = x @ stage.S.T + eta @ stage.kernel_matrix.T
+        x = x @ stage.S.T + eta @ dense_kernel(stage).T
     return x
-
-
-angles = st.floats(0.0, 2.0 * np.pi)
 
 
 @st.composite
 def all_pass_stage(draw, channels: int, dt: float) -> FilterStage:
-    """Unitary ``S``, unit ``theta`` and ``h = 2 Re(a)``, with ``|a| dt <= 0.1``."""
+    """Haar-random ``S``, unit ``theta`` and ``h = 2 Re(a)``, with ``|a| dt <= 0.1``."""
     z = complex(draw(st.floats(-0.07, -1e-3)), draw(st.floats(-0.07, 0.07)))
-    g, t, u, v, w = (draw(angles) for _ in range(5))
-    if channels == 1:
-        s, theta = [[np.exp(1j * g)]], [np.exp(1j * u)]
-    else:
-        c, sn = np.cos(t), np.sin(t)
-        s = np.exp(1j * g) * np.array([
-            [c * np.exp(1j * u), -sn * np.exp(-1j * v)],
-            [sn * np.exp(1j * v), c * np.exp(-1j * u)],
-        ])
-        theta = [np.cos(w), np.sin(w) * np.exp(1j * v)]
-    return FilterStage(S=s, theta=theta, h=2.0 * z.real / dt, a=z / dt)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    theta = rng.normal(size=channels) + 1j * rng.normal(size=channels)
+    return FilterStage(
+        S=haar_unitary(rng, channels),
+        theta=theta / np.linalg.norm(theta),
+        h=2.0 * z.real / dt,
+        a=z / dt,
+    )
 
 
 class TestShapeOde:
     @settings(max_examples=100, deadline=None)
     @given(
-        channels=st.sampled_from([1, 2]),
+        channels=st.sampled_from([1, 2, 3]),
         depth=st.integers(1, 3),
         dt=st.floats(1e-3, 1.0),
         log2_n=st.integers(4, 8),

@@ -1,17 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photon_slh import (
     FilterStage,
     ModelValidationError,
     PhotonTransfer,
+    Pulse,
+    TimeGrid,
     TwoLevelParams,
     from_model,
     memory_g,
+    shape_fft,
     two_channel_g,
     two_level_g,
 )
-from conftest import two_channel_model, two_level_model, uncoupled_filter
+from conftest import (
+    dense_kernel,
+    dense_response,
+    haar_unitary,
+    two_channel_model,
+    two_level_model,
+    uncoupled_filter,
+)
 
 
 class TestFromModel:
@@ -70,6 +82,34 @@ class TestStage:
     def test_channel_shape_checked(self):
         with pytest.raises(ValueError, match="theta"):
             FilterStage(S=np.eye(2), theta=np.array([1.0]), h=-1.0, a=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("S", [[np.nan]]),
+            ("S", [[np.inf]]),
+            ("theta", [np.nan]),
+            ("theta", [complex(0.0, -np.inf)]),
+            ("h", np.nan),
+            ("h", np.inf),
+            ("a", -np.inf),
+            ("a", complex(-1.0, np.nan)),
+        ],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        fields = dict(S=[[1.0]], theta=[1.0], h=-2.0, a=-1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^stage {field} must be finite$"):
+            FilterStage(**fields)
+
+    def test_drive_is_the_kernel_row(self, rng):
+        # the stage kernel h theta theta^dag S is the outer product theta x drive
+        stage = FilterStage(
+            S=haar_unitary(rng, 3), theta=rng.normal(size=3) + 1j, h=-0.7, a=complex(-0.4, 2.0)
+        )
+        kernel = np.multiply.outer(stage.theta, stage.drive)
+        assert np.max(np.abs(kernel - dense_kernel(stage))) <= 1e-15
+        assert not stage.drive.flags.writeable
 
 
 class TestAllPassProperties:
@@ -142,16 +182,48 @@ class TestCascade:
 
 
 class TestImpulseResponse:
-    # A stage's impulse response is S delta(t) + kernel_matrix exp(a t) for t >= 0.
+    # A stage's impulse response is S delta(t) + theta drive exp(a t) for t >= 0.
     def test_kernel_integral_matches_dc_gain(self):
         kappa, wc = 1.1, 0.9
-        (st,) = from_model(two_level_model(kappa, wc)).stages
-        assert st.kernel_matrix[0, 0] == pytest.approx(-kappa)
+        f = from_model(two_level_model(kappa, wc))
+        (st,) = f.stages
+        kernel = st.theta[0] * st.drive[0]
+        assert kernel == pytest.approx(-kappa)
         assert st.S[0, 0] == 1.0
         ts = np.linspace(0.0, 60.0 / kappa, 2**16)
-        smooth = st.kernel_matrix[0, 0] * np.exp(st.a * ts)
-        integral = np.trapezoid(smooth, ts)
+        integral = np.trapezoid(kernel * np.exp(st.a * ts), ts)
         closed = -kappa / (kappa / 2.0 + 1j * wc)
         assert abs(integral - closed) < 1e-6
-        g0 = st.response(np.array([0.0]))[0, 0, 0]
+        g0 = f.response_matrix(np.array([0.0]))[0, 0, 0]
         assert closed == pytest.approx(g0 - st.S[0, 0], abs=1e-12)
+
+
+def random_stage(rng, k: int) -> FilterStage:
+    """Haar-random ``S``, complex ``theta``, any-sign ``h`` and a pole in the left half plane."""
+    return FilterStage(
+        S=haar_unitary(rng, k),
+        theta=rng.normal(size=k) + 1j * rng.normal(size=k),
+        h=rng.uniform(-3.0, 3.0),
+        a=complex(rng.uniform(-5.0, -0.5), rng.uniform(-5.0, 5.0)),
+    )
+
+
+class TestRankOneForm:
+    # The rank-one stage updates against the ordered product of dense K x K stage matrices.
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 3), depth=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_products(self, k, depth, seed):
+        rng = np.random.default_rng(seed)
+        f = PhotonTransfer(stages=tuple(random_stage(rng, k) for _ in range(depth)))
+        ws = rng.uniform(-50.0, 50.0, size=33)
+        want = dense_response(f, ws)
+        got = f.response_matrix(ws)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        # shape_fft: the dense response times each FFT bin of the input
+        grid = TimeGrid(t_start=0.0, dt=40.0 / 64, n=64)
+        x = rng.normal(size=(grid.n, k)) + 1j * rng.normal(size=(grid.n, k))
+        spec = np.fft.fft(x, axis=0)
+        ref = np.fft.ifft(np.einsum("nij,nj->ni", dense_response(f, grid.omegas()), spec), axis=0)
+        out = shape_fft(Pulse(grid=grid, samples=x), f).samples
+        assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
