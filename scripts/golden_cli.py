@@ -7,8 +7,9 @@
 list of commands, each as ``python -m photon_slh.cli`` with ``ROOT/src`` on
 ``PYTHONPATH`` and ``OUT`` as the working directory, so every path in the
 output is relative.  It covers every subcommand: ``shape`` by fft, ode and
-both at K = 1 and 2 and cascade 1 and 3, a ``csv:`` read-back, and the error
-exits.  Per command it keeps ``OUT/<name>/exit``, ``stdout``, ``stderr`` and
+both at K = 1 and 2 and cascade 1 and 3, a ``csv:`` read-back, ``compose
+--series`` of two-level models at K = 1 and 2 and of two embedded sites, and
+the error exits.  Per command it keeps ``OUT/<name>/exit``, ``stdout``, ``stderr`` and
 the files the command wrote.  A traceback is kept as its last line, since its
 file paths and line numbers name the tree, not the behaviour.
 
@@ -45,9 +46,34 @@ def _model(s, theta, omega_c):
     }
 
 
+def _site(site, theta, omega_c):
+    """Four-level model document: ``theta sigma_minus`` and ``(omega_c / 2) sigma_z``
+    acting on one site of a pair (site 0 is the left Kronecker factor)."""
+
+    def bit(i, s):
+        return (i >> (1 - s)) & 1
+
+    def embed(local):
+        return [[[local[bit(i, site)][bit(j, site)] if bit(i, 1 - site) == bit(j, 1 - site)
+                  else 0.0, 0.0] for j in range(4)] for i in range(4)]
+
+    half = 0.5 * omega_c
+    return {
+        "levels": 4,
+        "channels": 1,
+        "S": [[[1.0, 0.0]]],
+        "theta": [[theta, 0.0]],
+        "L0": embed([[0.0, 1.0], [0.0, 0.0]]),
+        "H0": embed([[-half, 0.0], [0.0, half]]),
+    }
+
+
 MODELS = {
     "k1": _model([[[1.0, 0.0]]], [1.0], 0.8),
     "k2": _model(BS50, [1.0, 0.6], 0.3),
+    "k2_swap": _model([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], [0.5, 0.9], -0.2),
+    "site0": _site(0, 1.0, 0.8),
+    "site1": _site(1, 0.7, 0.5),
     "high_q": _model([[[1.0, 0.0]]], [0.1], 100.0),  # kappa 0.01: the self-test fails
     "unstable": _model([[[1.0, 0.0]]], [0.0], 0.8),  # no coupling: stability fails
 }
@@ -78,6 +104,14 @@ def _commands():
         ("sweep_k2", ["sweep", "models/k2.json", "--omega=-10:10:201", "-o", "sweep_k2.csv"]),
         ("compose_series", ["compose", "--series", "models/k1.json", "models/k1.json"]),
         ("compose_feedback", ["compose", "--feedback", "models/k2.json", "-o", "fb.json"]),
+        ("compose_series_k2", ["compose", "--series", "models/k2.json", "models/k2_swap.json"]),
+        ("compose_series_sites", ["compose", "--series", "models/site0.json", "models/site1.json",
+                                  "-o", "chain.json"]),
+        # exp once overflowed on the zero side of these pulses' jump
+        ("shape_k1_steep_rising", ["shape", "models/k1.json", "--pulse", "rising_exp:kappa=60",
+                                   "-o", "steep_rising.csv"]),
+        ("shape_k1_steep_decaying", ["shape", "models/k1.json", "--pulse",
+                                     "decaying_exp:kappa=60,t_on=5", "-o", "steep_decaying.csv"]),
         ("oracle_two_level", ["oracle", "two-level-g", "--kappa", "1.3", "--omega-c", "0.4"]),
         ("oracle_two_channel", ["oracle", "two-channel-g", "--kappa2", "0.36"]),
         ("oracle_memory_g", ["oracle", "memory-g", "--n", "3"]),
@@ -98,6 +132,19 @@ def _commands():
         ("err_feedback_singular", ["oracle", "feedback-g", "--s", *"1 0 0 0 0 0 1 0".split()]),
         ("err_feedback_non_unitary", ["oracle", "feedback-g", "--s", *"0 0 2 0 2 0 0 0".split(),
                                       "--omega", "0:1:2"]),
+        ("err_unresolved_narrow", ["shape", "models/k1.json", "--pulse", "gaussian:sigma=1e-6",
+                                   "-o", "err_narrow.csv"]),
+        ("err_unresolved_far", ["shape", "models/k1.json", "--pulse", "gaussian:t0=1000",
+                                "-o", "err_far.csv"]),
+        ("err_unresolved_square", ["shape", "models/k1.json", "--pulse", "square:t0=0,t1=1e-320",
+                                   "-o", "err_square.csv"]),
+        ("err_unresolved_decaying", ["shape", "models/k1.json", "--pulse",
+                                     "decaying_exp:kappa=1e300", "-o", "err_decaying.csv"]),
+        ("err_chain_validate", ["validate", "compose_series_sites/chain.json"]),
+        ("err_chain_tol_inf", ["shape", "compose_series_sites/chain.json", "--tol", "inf",
+                               "-o", "err_chain.csv"]),
+        ("err_tol_nan", ["validate", "models/k1.json", "--tol", "nan"]),
+        ("err_tol_negative", ["sweep", "models/k1.json", "--omega", "0:1:2", "--tol=-1"]),
     ]
     return cmds
 

@@ -10,17 +10,14 @@ feedback reduction.
 __version__ = "0.1.0"
 
 from .operators import (
-    EigenRelationReport,
     Operator,
     commutator,
     embed_site,
     ground_state,
     identity,
-    row_proportionality_test,
     sigma_minus,
     sigma_plus,
     sigma_z,
-    vector_eigen_test,
     zero,
 )
 from .model import (
@@ -71,7 +68,6 @@ __all__ = [
     "__version__",
     # operators
     "Operator",
-    "EigenRelationReport",
     "identity",
     "zero",
     "sigma_z",
@@ -79,8 +75,6 @@ __all__ = [
     "sigma_minus",
     "ground_state",
     "commutator",
-    "vector_eigen_test",
-    "row_proportionality_test",
     "embed_site",
     # model
     "SLHModel",

@@ -4,7 +4,8 @@ JSON models in, CSV/JSON out; no plotting.  Exit codes are a stable
 contract: 0 success, 1 I/O or parse error, 2 condition-check failure,
 3 insufficient time grid (a suggested span is printed), 4 singular
 feedback loop.  The environment variable ``PHOTON_SLH_TOL`` overrides the
-default 1e-10 condition tolerance; a ``--tol`` flag wins over both.
+default 1e-10 condition tolerance; a ``--tol`` flag wins over both.  Either
+must be finite and nonnegative.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ from .pulses import (
 from .transfer import PhotonTransfer, from_model
 
 
+#: ``shape`` refuses an analytic pulse whose discrete norm misses 1 by more:
+#: the grid does not hold it.
+PULSE_NORM_TOL = 0.05
+
+
 class CLIError(ValueError):
     """A usage or input error; ``main`` reports it like any ValueError (exit 1)."""
 
@@ -63,15 +69,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _condition_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("PHOTON_SLH_TOL")
-    if env is not None:
+    tol, source = getattr(args, "tol", None), "--tol"
+    if tol is None:
+        env = os.environ.get("PHOTON_SLH_TOL")
+        if env is None:
+            return DEFAULT_TOL
+        source = "PHOTON_SLH_TOL"
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise CLIError(f"PHOTON_SLH_TOL is not a number: {env!r}") from exc
-    return DEFAULT_TOL
+    if not 0.0 <= tol < np.inf:
+        raise CLIError(f"{source} must be finite and nonnegative, got {tol}")
+    return tol
 
 
 def _parse_range(text: str, name: str) -> np.ndarray:
@@ -176,6 +186,7 @@ def _cmd_shape(args) -> int:
                 f"pulse CSV has {pulse.channels} channels, model has {m.channels}"
             )
         grid = pulse.grid
+        input_norm = pulse.norm()
     else:
         grid = _grid_from_args(args, pole)
         spec = parse_pulse_spec(args.pulse)
@@ -183,6 +194,12 @@ def _cmd_shape(args) -> int:
         params.update(spec.params)
         spec = PulseSpec(kind=spec.kind, params=params)
         pulse = spec.materialize(grid, channels=m.channels, channel=args.channel)
+        input_norm = pulse.norm()
+        if not abs(input_norm - 1.0) <= PULSE_NORM_TOL:
+            raise CLIError(
+                f"{spec.kind} pulse has discrete norm {input_norm:.6g} on this grid, "
+                f"off 1 by more than {PULSE_NORM_TOL}: the grid does not resolve it"
+            )
 
     outputs = {}
     if args.method in ("fft", "both"):
@@ -197,7 +214,7 @@ def _cmd_shape(args) -> int:
         "method": args.method,
         "cascade": args.cascade,
         "grid": {"t_start": grid.t_start, "dt": grid.dt, "n": grid.n},
-        "input_norm": pulse.norm(),
+        "input_norm": input_norm,
         "output_norm": primary.norm(),
         "pre_zero_energy_fraction": primary.energy_fraction_before(0.0),
     }

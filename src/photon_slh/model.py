@@ -15,6 +15,11 @@ The checker verifies five conditions on a model:
 * ``stability``            -- ``Re(a) < 0`` for the pole
   ``a = -i beta + (1/2) (sum_k |theta_k|^2) h``
 
+Each relation ``u = lambda v`` is checked by one least-squares fit:
+``lambda = <v, u>/<v, v>`` and the residual ``||u - lambda v|| / ||v||``
+(or ``lambda = 0`` and ``||u||`` when ``v = 0``) must be at most the
+tolerance.  The fitted ``lambda`` are ``alpha``, ``beta`` and ``h``.
+
 When all five hold, the model acts on a single-photon input as a stable
 linear filter with pole ``a`` (see :mod:`photon_slh.transfer`), and the
 extracted scalars are returned as :class:`DerivedParams`.
@@ -36,19 +41,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .operators import (
-    DEFAULT_TOL,
-    EigenRelationReport,
-    Operator,
-    commutator,
-    ground_state,
-    row_proportionality_test,
-    vector_eigen_test,
-    zero,
-)
+from .operators import DEFAULT_TOL, Operator, commutator, ground_state, zero
 
 __all__ = [
-    "CONDITION_NAMES",
     "SLHModel",
     "DerivedParams",
     "ConditionReport",
@@ -70,14 +65,6 @@ STRUCTURE_TOL = 1e-10
 
 #: Loop is treated as singular when ``|1 - S22|`` falls below this.
 SINGULAR_LOOP_TOL = 1e-12
-
-CONDITION_NAMES = (
-    "ground_energy",
-    "coupling_annihilates",
-    "commutator_proportional",
-    "number_eigenrelation",
-    "stability",
-)
 
 
 class SingularLoopError(ValueError):
@@ -151,18 +138,18 @@ class SLHModel:
         return cls(S=S, theta=theta, L0=L0, H0=H0)
 
 
-def _factor_coupling(ops: list, dim: int, rtol: float = 1e-12):
-    """Write ``ops[k] = theta_k * L0`` and return ``(theta, L0)``.
+def _factor_coupling(stacked: np.ndarray, dim: int, rtol: float = 1e-12):
+    """Write column ``k`` of the ``(dim**2, K)`` array ``stacked`` as
+    ``theta_k * vec(L0)`` and return ``(theta, L0)``.
 
-    Raises ``ValueError`` when the operators are not all multiples of one.
+    Raises ``ValueError`` when the columns are not all multiples of one.
     """
-    k = len(ops)
-    stacked = np.stack([op.mat.reshape(-1) for op in ops], axis=1)
+    k = stacked.shape[1]
     scale = np.linalg.norm(stacked)
     if scale == 0.0:
         return np.zeros(k, dtype=complex), zero(dim)
     if k == 1:
-        return np.array([1.0 + 0.0j]), ops[0]
+        return np.array([1.0 + 0.0j]), Operator(stacked.reshape(dim, dim))
     u, sing, _ = np.linalg.svd(stacked, full_matrices=False)
     if sing[1] > rtol * sing[0]:
         raise ValueError(
@@ -249,9 +236,18 @@ class ModelValidationError(Exception):
         super().__init__(f"model failed conditions: {failed}")
 
 
-def _eigen_condition(name: str, rep: EigenRelationReport) -> ConditionReport:
-    msg = "" if rep.holds else "relation does not hold at tolerance"
-    return ConditionReport(name=name, holds=rep.holds, residual=rep.residual, message=msg)
+def _fit(u: np.ndarray, v: np.ndarray):
+    """Least-squares fit of ``u`` onto ``v``: ``(lambda, ||u - lambda v|| / ||v||)``
+    with ``lambda = <v, u>/<v, v>``, or ``(0, ||u||)`` when ``v = 0``."""
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return 0j, float(np.linalg.norm(u))
+    lam = complex(np.vdot(v, u) / np.vdot(v, v))
+    return lam, float(np.linalg.norm(u - lam * v) / nv)
+
+
+def _report(name: str, holds: bool, residual: float, failure: str) -> ConditionReport:
+    return ConditionReport(name, holds, residual, "" if holds else failure)
 
 
 def validate_model(m: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -263,66 +259,48 @@ def validate_model(m: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     "marginally stable" message.
     """
     e0 = ground_state(m.levels)
-    l0 = m.L0
-    h0 = m.H0
-    conditions: dict = {}
-
-    rep_alpha = vector_eigen_test(h0, e0, tol)
-    conditions["ground_energy"] = _eigen_condition("ground_energy", rep_alpha)
-
-    coupling_residual = float(np.linalg.norm(l0.mat @ e0))
-    conditions["coupling_annihilates"] = ConditionReport(
-        name="coupling_annihilates",
-        holds=coupling_residual <= tol,
-        residual=coupling_residual,
-        message="" if coupling_residual <= tol else "L0 does not annihilate the ground state",
+    l0, h0 = m.L0, m.H0
+    alpha, r_alpha = _fit(h0.mat @ e0, e0)
+    r_coupling = float(np.linalg.norm(l0.mat @ e0))
+    beta, r_beta = _fit(e0 @ commutator(l0, h0).mat, e0 @ l0.mat)
+    h, r_h = _fit(commutator(l0.dagger(), l0).mat @ e0, e0)
+    h_imag = abs(h.imag)
+    unfit = "relation does not hold at tolerance"
+    reports = (
+        _report("ground_energy", r_alpha <= tol, r_alpha, unfit),
+        _report(
+            "coupling_annihilates",
+            r_coupling <= tol,
+            r_coupling,
+            "L0 does not annihilate the ground state",
+        ),
+        _report("commutator_proportional", r_beta <= tol, r_beta, unfit),
+        _report(
+            "number_eigenrelation",
+            r_h <= tol and h_imag <= tol,
+            max(r_h, h_imag) if r_h <= tol else r_h,
+            "eigenrelation fails or eigenvalue is not real",
+        ),
     )
-
-    rep_beta = row_proportionality_test(commutator(l0, h0), l0, e0, tol)
-    conditions["commutator_proportional"] = _eigen_condition(
-        "commutator_proportional", rep_beta
-    )
-
-    rep_h = vector_eigen_test(commutator(l0.dagger(), l0), e0, tol)
-    h_imag = 0.0 if rep_h.eigenvalue is None else abs(rep_h.eigenvalue.imag)
-    h_ok = rep_h.holds and h_imag <= tol
-    conditions["number_eigenrelation"] = ConditionReport(
-        name="number_eigenrelation",
-        holds=h_ok,
-        residual=max(rep_h.residual, h_imag) if rep_h.holds else rep_h.residual,
-        message="" if h_ok else "eigenrelation fails or eigenvalue is not real",
-    )
-
-    algebraic_ok = all(conditions[n].holds for n in CONDITION_NAMES[:-1])
+    conditions = {rep.name: rep for rep in reports}
+    algebraic_ok = all(rep.holds for rep in reports)
 
     params: Optional[DerivedParams] = None
     if algebraic_ok:
-        alpha = rep_alpha.eigenvalue
-        beta = rep_beta.eigenvalue if rep_beta.eigenvalue is not None else 0.0 + 0.0j
-        h = float(rep_h.eigenvalue.real)
         coupling_weight = float(np.sum(np.abs(m.theta) ** 2))
-        a = -1j * complex(beta) + 0.5 * coupling_weight * h
-        params = DerivedParams(alpha=complex(alpha), beta=complex(beta), h=h, a=a)
+        a = -1j * beta + 0.5 * coupling_weight * h.real
+        params = DerivedParams(alpha=alpha, beta=beta, h=h.real, a=a)
         re_a = a.real
-        stable = re_a < 0.0
-        if stable:
-            msg = ""
-        elif re_a == 0.0:
-            msg = "marginally stable: Re(a) = 0"
-        else:
-            msg = f"unstable pole: Re(a) = {re_a:.6e}"
-        conditions["stability"] = ConditionReport(
-            name="stability", holds=stable, residual=max(re_a, 0.0), message=msg
+        unstable = (
+            "marginally stable: Re(a) = 0" if re_a == 0.0 else f"unstable pole: Re(a) = {re_a:.6e}"
         )
+        conditions["stability"] = _report("stability", re_a < 0.0, max(re_a, 0.0), unstable)
     else:
         conditions["stability"] = ConditionReport(
-            name="stability",
-            holds=False,
-            residual=float("nan"),
-            message="not evaluated: an algebraic condition failed",
+            "stability", False, float("nan"), "not evaluated: an algebraic condition failed"
         )
 
-    passed = algebraic_ok and conditions["stability"].holds
+    passed = all(rep.holds for rep in conditions.values())
     return ValidationReport(passed=passed, conditions=conditions, params=params)
 
 
@@ -337,8 +315,10 @@ def series_product(g2: SLHModel, g1: SLHModel) -> SLHModel:
     Both systems must act on the same Hilbert space (pre-embed components
     with :func:`photon_slh.operators.embed_site`) with equal channel
     counts.  The result is ``(S2 S1, L2 + S2 L1, H1 + H2 + Im{L2^dag S2 L1})``
-    (Gough & James, IEEE TAC 2009), written as ``theta_k * L0``; raises
-    ``ValueError`` when its couplings are not all multiples of one operator.
+    (Gough & James, IEEE TAC 2009).  With ``phi = S2 theta1`` its couplings
+    are ``theta2_k L0_2 + phi_k L0_1`` and its cross term is
+    ``<theta2, phi> L0_2^dag L0_1``; they are refactored as ``theta_k * L0``,
+    and ``ValueError`` is raised when they are not all multiples of one operator.
     """
     if g1.channels != g2.channels:
         raise ValueError(
@@ -348,22 +328,12 @@ def series_product(g2: SLHModel, g1: SLHModel) -> SLHModel:
         raise ValueError(
             f"Hilbert-space dimension mismatch: {g2.levels} vs {g1.levels}"
         )
-    k = g1.channels
-    l1, l2 = g1.L, g2.L
-    s = g2.S @ g1.S
-    new_l = []
-    for i in range(k):
-        op = l2[i]
-        for j in range(k):
-            op = op + complex(g2.S[i, j]) * l1[j]
-        new_l.append(op)
-    cross = zero(g1.levels)
-    for i in range(k):
-        for j in range(k):
-            cross = cross + complex(g2.S[i, j]) * (l2[i].dagger() @ l1[j])
+    phi = g2.S @ g1.theta
+    coupling = np.outer(g2.L0.mat.reshape(-1), g2.theta) + np.outer(g1.L0.mat.reshape(-1), phi)
+    cross = complex(np.vdot(g2.theta, phi)) * (g2.L0.dagger() @ g1.L0)
     h = g1.H0 + g2.H0 + _im_operator(cross)
-    theta, l0 = _factor_coupling(new_l, g1.levels)
-    return SLHModel(S=s, theta=theta, L0=l0, H0=h)
+    theta, l0 = _factor_coupling(coupling, g1.levels)
+    return SLHModel(S=g2.S @ g1.S, theta=theta, L0=l0, H0=h)
 
 
 def _loop_gain(m: SLHModel):

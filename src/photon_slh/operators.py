@@ -1,9 +1,8 @@
 """Dense complex operators on small finite-level Hilbert spaces.
 
 Plain-numpy building blocks shared by the model layer: an immutable
-``Operator`` wrapper, qubit constructors, commutators, Kronecker embedding
-of single-site operators into a short chain, and the two relation tests
-(eigenvector, row proportionality) that the model condition checker runs.
+``Operator`` wrapper, qubit constructors, commutators, basis states and
+Kronecker embedding of single-site operators into a short chain.
 
 Conventions: the ground state ``|0>`` is the first basis vector (index 0),
 ``sigma_z = |1><1| - |0><0|``, ``sigma_plus = |1><0|``,
@@ -14,7 +13,6 @@ Euclidean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +20,6 @@ __all__ = [
     "DEFAULT_TOL",
     "TENSOR_DIM_CAP",
     "Operator",
-    "EigenRelationReport",
     "identity",
     "zero",
     "sigma_z",
@@ -31,12 +28,10 @@ __all__ = [
     "ground_state",
     "basis_state",
     "commutator",
-    "vector_eigen_test",
-    "row_proportionality_test",
     "embed_site",
 ]
 
-#: Default tolerance for the eigen-relation tests; model data is specified
+#: Default tolerance for the model condition check; model data is specified
 #: exactly, so defects are rounding-level.
 DEFAULT_TOL = 1e-10
 
@@ -90,20 +85,6 @@ class Operator:
         return f"Operator(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class EigenRelationReport:
-    """Outcome of an eigen-relation or proportionality test.
-
-    ``holds`` is true exactly when ``residual`` is at or below the caller's
-    tolerance.  ``eigenvalue`` is ``None`` in degenerate cases (zero test
-    vector, or a zero reference row in the proportionality test).
-    """
-
-    holds: bool
-    residual: float
-    eigenvalue: Optional[complex] = None
-
-
 def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=complex))
 
@@ -145,54 +126,6 @@ def commutator(a: Operator, b: Operator) -> Operator:
     if a.dim != b.dim:
         raise ValueError(f"operator dimension mismatch: {a.dim} vs {b.dim}")
     return Operator(a.mat @ b.mat - b.mat @ a.mat)
-
-
-def vector_eigen_test(a: Operator, v: np.ndarray, tol: float = DEFAULT_TOL) -> EigenRelationReport:
-    """Test whether ``A v = lambda v`` for some scalar.
-
-    The candidate eigenvalue is the Rayleigh quotient ``<v, A v>/<v, v>``
-    and the residual is ``||A v - lambda v|| / ||v||``.  A zero vector
-    yields a degenerate failing report.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (a.dim,):
-        raise ValueError(f"vector length {v.shape} does not match dim {a.dim}")
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return EigenRelationReport(holds=False, residual=np.inf, eigenvalue=None)
-    av = a.mat @ v
-    lam = complex(np.vdot(v, av) / np.vdot(v, v))
-    residual = float(np.linalg.norm(av - lam * v) / nv)
-    return EigenRelationReport(holds=residual <= tol, residual=residual, eigenvalue=lam)
-
-
-def row_proportionality_test(
-    a: Operator, b: Operator, row: np.ndarray, tol: float = DEFAULT_TOL
-) -> EigenRelationReport:
-    """Test whether ``row . A = lambda (row . B)`` for some scalar.
-
-    ``lambda`` is the least-squares fit of ``row.A`` onto ``row.B`` and the
-    residual is relative to ``||row.B||``.  If ``row.B`` vanishes the test
-    holds only when ``row.A`` vanishes too (eigenvalue unset); the residual
-    is then ``||row.A|| / ||row||``.
-    """
-    if a.dim != b.dim:
-        raise ValueError(f"operator dimension mismatch: {a.dim} vs {b.dim}")
-    row = np.asarray(row, dtype=complex)
-    if row.shape != (a.dim,):
-        raise ValueError(f"row length {row.shape} does not match dim {a.dim}")
-    nrow = np.linalg.norm(row)
-    if nrow == 0.0:
-        return EigenRelationReport(holds=False, residual=np.inf, eigenvalue=None)
-    ra = row @ a.mat
-    rb = row @ b.mat
-    nrb = np.linalg.norm(rb)
-    if nrb == 0.0:
-        residual = float(np.linalg.norm(ra) / nrow)
-        return EigenRelationReport(holds=residual <= tol, residual=residual, eigenvalue=None)
-    lam = complex(np.vdot(rb, ra) / np.vdot(rb, rb))
-    residual = float(np.linalg.norm(ra - lam * rb) / nrb)
-    return EigenRelationReport(holds=residual <= tol, residual=residual, eigenvalue=lam)
 
 
 def embed_site(a: Operator, site: int, n_sites: int) -> Operator:

@@ -180,7 +180,12 @@ def decaying_exp_pulse(
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     t = grid.times()
-    col = np.sqrt(kappa) * np.exp(-0.5 * kappa * (t - t_on)) * _step_up(t, t_on, grid.dt)
+    # Clipped to the support, the exponent is never positive: the zero side gets
+    # exp(0) times a zero step.  An exponent below the float range is -inf,
+    # whose exp is the right 0.
+    with np.errstate(over="ignore"):
+        decay = np.exp(-0.5 * kappa * np.maximum(t - t_on, 0.0))
+    col = np.sqrt(kappa) * decay * _step_up(t, t_on, grid.dt)
     return _mono(grid, col.astype(complex), channels, channel, "decaying_exp")
 
 
@@ -197,9 +202,11 @@ def rising_exp_pulse(
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     t = grid.times()
-    col = -np.sqrt(kappa) * np.exp((0.5 * kappa - 1j * omega_c) * t) * (
-        1.0 - _step_up(t, 0.0, grid.dt)
-    )
+    # Clipped to the support as in decaying_exp_pulse.  A phase beyond the float
+    # range gives non-finite samples, which Pulse refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rise = np.exp((0.5 * kappa - 1j * omega_c) * np.minimum(t, 0.0))
+    col = -np.sqrt(kappa) * rise * (1.0 - _step_up(t, 0.0, grid.dt))
     return _mono(grid, col, channels, channel, "rising_exp")
 
 

@@ -19,7 +19,7 @@ from photon_slh import (
 from photon_slh.cli import main
 from photon_slh.pulses import TimeGrid, gaussian_pulse, read_pulse_csv
 from conftest import BS50, SWAP, two_channel_model, two_level_model
-from test_model import embedded_two_channel_pair
+from test_model import embedded_two_channel_pair, joint_memory_model
 
 KAPPA, OMEGA_C = 1.0, 0.8
 
@@ -93,6 +93,33 @@ class TestValidate:
     def test_bad_env_value(self, model_path, monkeypatch, capsys):
         monkeypatch.setenv("PHOTON_SLH_TOL", "not-a-number")
         assert main(["validate", str(model_path)]) == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1e-3"])
+    @pytest.mark.parametrize("source", ["--tol", "PHOTON_SLH_TOL"])
+    @pytest.mark.parametrize("command", ["validate", "shape", "sweep"])
+    def test_tolerance_must_be_finite_and_nonnegative(
+        self, tmp_path, capsys, monkeypatch, command, source, value
+    ):
+        # A two-atom chain is no one-pole filter: an infinite tolerance would let
+        # shape accept it and write a wrong pulse.
+        path = tmp_path / "chain.json"
+        save_model(joint_memory_model(1.0, 0.5), path)
+        assert main(["validate", str(path)]) == 2
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        extra = {"validate": [], "shape": ["-o", str(out)], "sweep": ["--omega", "0:1:2"]}
+        argv = [command, str(path), *extra[command]]
+        if source == "--tol":
+            argv.append(f"--tol={value}")
+        else:
+            monkeypatch.setenv(source, value)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {source} must be finite and nonnegative, got {float(value)}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit",
@@ -296,6 +323,47 @@ class TestShape:
         assert captured.out == ""
         assert captured.err == f"error: pulse parameter {name} must be finite, got {value}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pulse, norm",
+        [
+            ("gaussian:sigma=1e-150", "3.41874e+73"),
+            ("gaussian:sigma=1e-6", "34.1874"),
+            ("gaussian:t0=1000", "0"),
+            ("square:t0=0,t1=1e-320", "0"),
+            ("decaying_exp:kappa=1e300", "2.70633e+148"),
+            ("square:t0=-24.5,t1=-20", "0.943039"),  # starts 0.5 before the grid
+        ],
+    )
+    def test_unresolved_analytic_pulse_exits_1(self, model_path, tmp_path, capsys, pulse, norm):
+        out = tmp_path / "x.csv"
+        assert main(["shape", str(model_path), "--pulse", pulse, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {pulse.partition(':')[0]} pulse has discrete norm {norm} on this grid, "
+            "off 1 by more than 0.05: the grid does not resolve it\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pulse, log2_n",
+        [
+            ("gaussian", "8"),
+            ("square", "8"),
+            ("rising_exp", "8"),
+            ("decaying_exp", "8"),
+            ("rising_exp:kappa=60", "14"),
+            ("decaying_exp:kappa=60,t_on=5", "14"),
+            ("square:t0=-24.3,t1=-20", "14"),  # norm 0.9647: within the bound
+        ],
+    )
+    def test_resolved_analytic_pulse_shapes(self, model_path, tmp_path, capsys, pulse, log2_n):
+        out = tmp_path / "x.csv"
+        argv = ["shape", str(model_path), "--pulse", pulse, "--log2-n", log2_n, "-o", str(out)]
+        assert main(argv) == 0
+        assert abs(json.loads(capsys.readouterr().out)["input_norm"] - 1.0) <= 0.05
+        assert out.exists()
 
     def test_unknown_pulse_kind(self, model_path, tmp_path):
         assert (

@@ -10,7 +10,9 @@ from photon_slh import (
     Operator,
     SLHModel,
     SingularLoopError,
+    commutator,
     embed_site,
+    ground_state,
     feedback_reduce,
     feedback_shift,
     load_model,
@@ -57,6 +59,92 @@ def embedded_two_channel_pair():
 def random_hermitian(rng, dim: int) -> Operator:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return Operator((a + a.conj().T) / 2.0)
+
+
+def random_operator(rng, dim: int) -> Operator:
+    return Operator(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def _eigen_reference(a: np.ndarray, v: np.ndarray):
+    """Reference relation test ``A v = lambda v``, kept apart from the checker's
+    own fit: ``(residual, lambda or None)``."""
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return np.inf, None
+    av = a @ v
+    lam = complex(np.vdot(v, av) / np.vdot(v, v))
+    return float(np.linalg.norm(av - lam * v) / nv), lam
+
+
+def _row_reference(a: np.ndarray, b: np.ndarray, row: np.ndarray):
+    """Relation test ``row.A = lambda row.B``, same form as ``_eigen_reference``."""
+    nrow = np.linalg.norm(row)
+    if nrow == 0.0:
+        return np.inf, None
+    ra, rb = row @ a, row @ b
+    nrb = np.linalg.norm(rb)
+    if nrb == 0.0:
+        return float(np.linalg.norm(ra) / nrow), None
+    lam = complex(np.vdot(rb, ra) / np.vdot(rb, rb))
+    return float(np.linalg.norm(ra - lam * rb) / nrb), lam
+
+
+def reference_validation(m: SLHModel, tol: float) -> dict:
+    """Reference condition check, one relation test per condition, in the
+    layout of ``ValidationReport.to_dict``."""
+    e0 = ground_state(m.levels)
+    l0, h0 = m.L0, m.H0
+    conditions = {}
+
+    def put(name, holds, residual, failure):
+        conditions[name] = {"holds": holds, "residual": residual,
+                            "message": "" if holds else failure}
+
+    r_alpha, alpha = _eigen_reference(h0.mat, e0)
+    put("ground_energy", r_alpha <= tol, r_alpha, "relation does not hold at tolerance")
+    r_l = float(np.linalg.norm(l0.mat @ e0))
+    put("coupling_annihilates", r_l <= tol, r_l, "L0 does not annihilate the ground state")
+    r_beta, beta = _row_reference(commutator(l0, h0).mat, l0.mat, e0)
+    put("commutator_proportional", r_beta <= tol, r_beta, "relation does not hold at tolerance")
+    r_h, h = _eigen_reference(commutator(l0.dagger(), l0).mat, e0)
+    h_imag = 0.0 if h is None else abs(h.imag)
+    put("number_eigenrelation", r_h <= tol and h_imag <= tol,
+        max(r_h, h_imag) if r_h <= tol else r_h, "eigenrelation fails or eigenvalue is not real")
+    doc = {"passed": False, "conditions": conditions}
+    if all(c["holds"] for c in conditions.values()):
+        beta = beta if beta is not None else 0.0 + 0.0j
+        h = float(h.real)
+        a = -1j * complex(beta) + 0.5 * float(np.sum(np.abs(m.theta) ** 2)) * h
+        unstable = f"unstable pole: Re(a) = {a.real:.6e}"
+        if a.real == 0.0:
+            unstable = "marginally stable: Re(a) = 0"
+        put("stability", a.real < 0.0, max(a.real, 0.0), unstable)
+        doc["passed"] = a.real < 0.0
+        doc["params"] = {"alpha": [alpha.real, alpha.imag], "beta": [beta.real, beta.imag],
+                         "h": h, "a": [a.real, a.imag]}
+    else:
+        put("stability", False, None, "not evaluated: an algebraic condition failed")
+    return doc
+
+
+def random_condition_model(rng, kind: str, levels: int, k: int, noise: float) -> SLHModel:
+    """A model that passes the condition check (``two-level``, ``embedded``, ``ladder``)
+    or fails it (``random``), with couplings and Hamiltonian nudged by ``noise``."""
+    if kind == "two-level":
+        l0, h0 = sigma_minus(), rng.normal() * sigma_z()
+    elif kind == "embedded":
+        site = int(rng.integers(2))
+        l0 = complex(rng.normal(), rng.normal()) * embed_site(sigma_minus(), site, 2)
+        h0 = Operator(np.diag(rng.normal(size=4)))
+    elif kind == "ladder":
+        lower = np.diag(rng.normal(size=levels - 1) + 1j * rng.normal(size=levels - 1), 1)
+        l0, h0 = Operator(lower), Operator(np.diag(rng.normal(size=levels)))
+    else:
+        l0, h0 = random_operator(rng, levels), random_hermitian(rng, levels)
+    l0 = l0 + noise * random_operator(rng, l0.dim)
+    h0 = h0 + noise * random_hermitian(rng, h0.dim)
+    theta = rng.normal(size=k) + 1j * rng.normal(size=k)
+    return SLHModel.factored(haar_unitary(rng, k), theta, l0, h0)
 
 
 class TestModelInvariants:
@@ -134,6 +222,22 @@ class TestValidateModel:
         for name in ("ground_energy", "coupling_annihilates", "number_eigenrelation"):
             assert rep.conditions[name].holds
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["two-level", "embedded", "ladder", "random"]),
+        levels=st.integers(2, 4),
+        k=st.integers(1, 3),
+        noise=st.sampled_from([0.0, 1e-13, 1e-11, 1e-10, 1e-9, 1e-6]),
+        tol=st.sampled_from([0.0, 1e-10, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_relation_reference(self, kind, levels, k, noise, tol, seed):
+        # The one-fit checker reproduces the per-relation arithmetic bit for bit:
+        # verdicts, residuals, messages and extracted parameters.
+        m = random_condition_model(np.random.default_rng(seed), kind, levels, k, noise)
+        got = json.dumps(validate_model(m, tol).to_dict())
+        assert got == json.dumps(reference_validation(m, tol))
+
     def test_report_serializes(self):
         rep = validate_model(two_level_model(1.0, 0.3))
         doc = rep.to_dict()
@@ -199,19 +303,22 @@ class TestSeriesProduct:
         assert np.max(np.abs(left.L[0].mat - right.L[0].mat)) < 1e-12
         assert np.max(np.abs(left.H0.mat - right.H0.mat)) < 1e-12
 
-    @settings(max_examples=60, deadline=None)
-    @given(k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_matches_gough_james_formula(self, k, seed):
-        # (S2 S1, L2 + S2 L1, H1 + H2 + Im{L2^dag S2 L1}) on a shared L0 = sigma_minus
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 3), embedded=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_gough_james_formula(self, k, embedded, seed):
+        # (S2 S1, L2 + S2 L1, H1 + H2 + Im{L2^dag S2 L1}), per channel, on a shared
+        # L0 = sigma_minus or, for K = 1, on random single-site operators embedded
+        # at the two sites of a 4-level space (two different L0)
         rng = np.random.default_rng(seed)
+        k = 1 if embedded else k
         g1, g2 = (
             SLHModel.factored(
                 haar_unitary(rng, k),
                 rng.normal(size=k) + 1j * rng.normal(size=k),
-                sigma_minus(),
-                random_hermitian(rng, 2),
+                embed_site(random_operator(rng, 2), site, 2) if embedded else sigma_minus(),
+                random_hermitian(rng, 4 if embedded else 2),
             )
-            for _ in range(2)
+            for site in range(2)
         )
         out = series_product(g2, g1)
         s2 = g2.S

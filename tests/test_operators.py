@@ -3,18 +3,20 @@ import pytest
 
 from photon_slh import (
     Operator,
+    SLHModel,
     commutator,
     embed_site,
     ground_state,
     identity,
-    row_proportionality_test,
     sigma_minus,
     sigma_plus,
     sigma_z,
-    vector_eigen_test,
+    validate_model,
     zero,
 )
+from photon_slh.model import _fit
 from photon_slh.operators import TENSOR_DIM_CAP, basis_state
+from conftest import two_level_model
 
 
 class TestOperator:
@@ -73,71 +75,75 @@ class TestCommutator:
 
 
 class TestVectorEigenTest:
+    """The condition checker's fit of ``A v`` onto ``v`` (``A v = lambda v``)."""
+
     def test_ground_state_energy(self):
         omega_c = 1.7
         h0 = (omega_c / 2.0) * sigma_z()
-        rep = vector_eigen_test(h0, ground_state(2), 1e-10)
-        assert rep.holds
-        assert rep.eigenvalue == pytest.approx(-omega_c / 2.0)
+        lam, residual = _fit(h0.mat @ ground_state(2), ground_state(2))
+        assert residual <= 1e-10
+        assert lam == pytest.approx(-omega_c / 2.0)
+        assert validate_model(two_level_model(1.0, omega_c)).params.alpha == lam
 
     def test_identity_trivial(self, rng):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rep = vector_eigen_test(identity(4), v, 1e-10)
-        assert rep.holds
-        assert rep.eigenvalue == pytest.approx(1.0)
-        assert rep.residual == 0.0
+        lam, residual = _fit(identity(4).mat @ v, v)
+        assert lam == pytest.approx(1.0)
+        assert residual == 0.0
 
     def test_raising_on_ground_state_fails(self):
-        rep = vector_eigen_test(sigma_plus(), ground_state(2), 1e-10)
+        lam, residual = _fit(sigma_plus().mat @ ground_state(2), ground_state(2))
+        assert residual == pytest.approx(1.0)
+        assert lam == pytest.approx(0.0)
+        sx = sigma_plus() + sigma_minus()
+        rep = validate_model(SLHModel.factored(np.eye(1), [1.0], sigma_minus(), sx))
+        rep = rep.conditions["ground_energy"]
         assert not rep.holds
         assert rep.residual == pytest.approx(1.0)
-        assert rep.eigenvalue == pytest.approx(0.0)
-
-    def test_zero_vector_degenerate(self):
-        rep = vector_eigen_test(identity(3), np.zeros(3), 1e-10)
-        assert not rep.holds
-        assert rep.eigenvalue is None
+        assert rep.message == "relation does not hold at tolerance"
 
     def test_spectral_synthesis_eigenvectors(self, rng):
         # A = V D V^dag with orthonormal V: each column is an exact eigenvector.
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
             lams = rng.normal(size=5) + 1j * rng.normal(size=5)
-            a = Operator(q @ np.diag(lams) @ q.conj().T)
+            a = q @ np.diag(lams) @ q.conj().T
             for i in range(5):
-                rep = vector_eigen_test(a, q[:, i], 1e-10)
-                assert rep.residual < 1e-12
-                assert rep.eigenvalue == pytest.approx(lams[i], abs=1e-12)
+                lam, residual = _fit(a @ q[:, i], q[:, i])
+                assert residual < 1e-12
+                assert lam == pytest.approx(lams[i], abs=1e-12)
 
 
 class TestRowProportionalityTest:
+    """The condition checker's fit of ``<0|A`` onto ``<0|B`` (``<0|A = lambda <0|B``)."""
+
     def test_commutator_rate(self):
         omega_c = 2.3
         a = commutator(sigma_minus(), (omega_c / 2.0) * sigma_z())
-        rep = row_proportionality_test(a, sigma_minus(), ground_state(2), 1e-10)
-        assert rep.holds
-        assert rep.eigenvalue == pytest.approx(omega_c)
+        e0 = ground_state(2)
+        lam, residual = _fit(e0 @ a.mat, e0 @ sigma_minus().mat)
+        assert residual <= 1e-10
+        assert lam == pytest.approx(omega_c)
+        assert validate_model(two_level_model(1.0, omega_c)).params.beta == lam
 
     def test_zero_numerator(self):
-        rep = row_proportionality_test(zero(2), sigma_minus(), ground_state(2), 1e-10)
-        assert rep.holds
-        assert rep.eigenvalue == pytest.approx(0.0)
+        e0 = ground_state(2)
+        assert _fit(e0 @ zero(2).mat, e0 @ sigma_minus().mat) == (0.0, 0.0)
 
     def test_sigma_z_not_proportional(self):
-        rep = row_proportionality_test(sigma_z(), sigma_minus(), ground_state(2), 1e-10)
-        assert not rep.holds
-        assert rep.residual == pytest.approx(1.0)
+        e0 = ground_state(2)
+        _, residual = _fit(e0 @ sigma_z().mat, e0 @ sigma_minus().mat)
+        assert residual == pytest.approx(1.0)
 
     def test_zero_reference_row(self):
-        # row.B = 0: holds only when row.A = 0, eigenvalue unset
-        good = row_proportionality_test(zero(2), zero(2), ground_state(2), 1e-10)
-        assert good.holds and good.eigenvalue is None
-        bad = row_proportionality_test(sigma_z(), zero(2), ground_state(2), 1e-10)
-        assert not bad.holds and bad.eigenvalue is None
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            row_proportionality_test(identity(2), identity(3), ground_state(2))
+        # <0|B = 0: the fit is lambda = 0 with residual ||<0|A||, so the relation
+        # holds only when <0|A = 0 too
+        e0 = ground_state(2)
+        assert _fit(e0 @ zero(2).mat, e0 @ zero(2).mat) == (0.0, 0.0)
+        assert _fit(e0 @ sigma_z().mat, e0 @ zero(2).mat) == (0.0, 1.0)
+        decoupled = SLHModel.factored(np.array([[1.0]]), [0.0], zero(2), sigma_z())
+        rep = validate_model(decoupled).conditions["commutator_proportional"]
+        assert rep.holds and rep.residual == 0.0
 
 
 def _embed_two_site_oracle(op: np.ndarray, site: int) -> np.ndarray:

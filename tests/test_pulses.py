@@ -116,6 +116,47 @@ class TestFactories:
         p = decaying_exp_pulse(offset_grid(80.0 / kappa), kappa, t_on=0.0)
         assert abs(p.norm() - 1.0) < 1e-6
 
+    @pytest.mark.parametrize(
+        "build, formula, support",
+        [
+            (lambda g: rising_exp_pulse(g, 60.0, 0.0),
+             lambda t: -np.sqrt(60.0) * np.exp((0.5 * 60.0 - 1j * 0.0) * t), lambda t: t < 0.0),
+            (lambda g: decaying_exp_pulse(g, 60.0, t_on=5.0),
+             lambda t: np.sqrt(60.0) * np.exp(-0.5 * 60.0 * (t - 5.0)), lambda t: t > 5.0),
+        ],
+        ids=["rising", "decaying"],
+    )
+    def test_steep_exponential_is_evaluated_on_its_support(self, build, formula, support):
+        # The default grid of a kappa = 1 model holds a kappa = 60 pulse, but exp on
+        # the zero side of the jump overflows there (a RuntimeWarning fails the test).
+        grid = TimeGrid(t_start=-24.0, dt=48.0 / 2**14, n=2**14)
+        p = build(grid)
+        t = grid.times()
+        on = support(t)
+        assert np.array_equal(p.samples[on, 0], formula(t[on]))
+        assert np.count_nonzero(p.samples[~on, 0]) <= 1  # the midpoint sample of the jump
+        assert p.norm() == pytest.approx(1.0, abs=0.05)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kappa=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        shift=st.floats(allow_nan=False, allow_infinity=False),
+        rising=st.booleans(),
+    )
+    def test_one_sided_exponential_never_warns(self, kappa, shift, rising):
+        # Any finite parameters give a finite pulse or a ValueError, without a
+        # RuntimeWarning (pytest turns warnings into errors).
+        grid = TimeGrid(t_start=-24.0, dt=48.0 / 2**10, n=2**10)
+        try:
+            if rising:
+                p = rising_exp_pulse(grid, kappa, omega_c=shift)
+            else:
+                p = decaying_exp_pulse(grid, kappa, t_on=shift)
+        except ValueError as exc:
+            assert str(exc) == "pulse samples must be finite"
+            return
+        assert np.all(np.isfinite(p.samples))
+
     def test_square_norm(self):
         grid = offset_grid(16.0, log2_n=10)
         p = square_pulse(grid, -4.0, 2.0)
