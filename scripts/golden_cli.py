@@ -7,9 +7,10 @@
 list of commands, each as ``python -m photon_slh.cli`` with ``ROOT/src`` on
 ``PYTHONPATH`` and ``OUT`` as the working directory, so every path in the
 output is relative.  It covers every subcommand: ``shape`` by fft, ode and
-both at K = 1 and 2 and cascade 1 and 3, a ``csv:`` read-back, ``compose
---series`` of two-level models at K = 1 and 2 and of two embedded sites, and
-the error exits.  Per command it keeps ``OUT/<name>/exit``, ``stdout``, ``stderr`` and
+both at K = 1 and 2 and cascade 1 and 3, a ``csv:`` read-back, explicit
+``--dt``/``--t-start`` grids of ``shape`` and ``oracle inverting-pulse``,
+``compose --series`` of two-level models at K = 1 and 2 and of two embedded
+sites, and the error exits.  Per command it keeps ``OUT/<name>/exit``, ``stdout``, ``stderr`` and
 the files the command wrote.  A traceback is kept as its last line, since its
 file paths and line numbers name the tree, not the behaviour.
 
@@ -145,6 +146,23 @@ def _commands():
                                "-o", "err_chain.csv"]),
         ("err_tol_nan", ["validate", "models/k1.json", "--tol", "nan"]),
         ("err_tol_negative", ["sweep", "models/k1.json", "--omega", "0:1:2", "--tol=-1"]),
+        # explicit grids: every given flag is taken as it is
+        ("shape_k1_explicit_grid", ["shape", "models/k1.json", "--dt", "0.01", "--t-start", "-20",
+                                    "--log2-n", "12", "--method", "both", "-o", "grid.csv"]),
+        ("oracle_inverting_grid", ["oracle", "inverting-pulse", "--kappa", "2", "--log2-n", "8",
+                                   "--dt", "0.25", "--t-start", "-50"]),
+        ("err_csv_channels_k2", ["shape", "models/k2.json", "--pulse",
+                                 "csv:shape_k1_c1_fft/shape_k1_c1_fft.csv", "-o", "err_ch2.csv"]),
+        ("err_csv_channels_k1", ["shape", "models/k1.json", "--pulse",
+                                 "csv:shape_k2_c1_fft/shape_k2_c1_fft.csv", "--method", "ode",
+                                 "-o", "err_ch1.csv"]),
+        ("err_dt_negative", ["shape", "models/k1.json", "--dt=-1", "-o", "err_dt.csv"]),
+        ("err_dt_zero", ["shape", "models/k1.json", "--dt", "0", "-o", "err_dt0.csv"]),
+        ("err_inverting_dt_negative", ["oracle", "inverting-pulse", "--dt=-1"]),
+        ("err_far_gaussian", ["shape", "models/k1.json", "--pulse", "gaussian:t0=1e200",
+                              "-o", "err_far_gaussian.csv"]),
+        ("err_rising_phase", ["shape", "models/k1.json", "--pulse", "rising_exp:omega_c=1e308",
+                              "-o", "err_rising_phase.csv"]),
     ]
     return cmds
 

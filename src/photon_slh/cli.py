@@ -39,6 +39,7 @@ from .oracles import (
 )
 from .pulses import (
     GridSpanError,
+    Pulse,
     PulseSpec,
     TimeGrid,
     parse_pulse_spec,
@@ -136,24 +137,14 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid_size(args) -> int:
+def _grid(args, default_span: float, lead: float) -> TimeGrid:
+    """The ``--log2-n`` grid: ``dt = default_span / n`` unless ``--dt`` is given,
+    and ``t_start = -lead n dt`` unless ``--t-start`` is given."""
     if not 8 <= args.log2_n <= 22:
         raise CLIError(f"--log2-n must be in [8, 22], got {args.log2_n}")
-    return 2**args.log2_n
-
-
-def _grid_from_args(args, pole) -> TimeGrid:
-    n = _grid_size(args)
-    if args.dt is not None:
-        if args.dt <= 0:
-            raise CLIError("--dt must be positive")
-        dt = args.dt
-        t_start = args.t_start if args.t_start is not None else -0.5 * n * dt
-        return TimeGrid(t_start=t_start, dt=dt, n=n)
-    # Settling-based default: span comfortably beyond the kernel tail bound.
-    span = 24.0 / abs(pole.real)
-    dt = span / n
-    t_start = args.t_start if args.t_start is not None else -0.5 * span
+    n = 2**args.log2_n
+    dt = default_span / n if args.dt is None else args.dt
+    t_start = -lead * n * dt if args.t_start is None else args.t_start
     return TimeGrid(t_start=t_start, dt=dt, n=n)
 
 
@@ -181,25 +172,19 @@ def _cmd_shape(args) -> int:
 
     if args.pulse.startswith("csv:"):
         pulse = read_pulse_csv(args.pulse[4:])
-        if pulse.channels != m.channels:
-            raise CLIError(
-                f"pulse CSV has {pulse.channels} channels, model has {m.channels}"
-            )
-        grid = pulse.grid
-        input_norm = pulse.norm()
     else:
-        grid = _grid_from_args(args, pole)
+        # Settling-based default: span comfortably beyond the kernel tail bound.
+        grid = _grid(args, 24.0 / abs(pole.real), 0.5)
         spec = parse_pulse_spec(args.pulse)
-        params = dict(_default_pulse_params(spec.kind, grid, pole))
-        params.update(spec.params)
-        spec = PulseSpec(kind=spec.kind, params=params)
+        defaults = _default_pulse_params(spec.kind, grid, pole)
+        spec = PulseSpec(spec.kind, {**defaults, **spec.params})
         pulse = spec.materialize(grid, channels=m.channels, channel=args.channel)
-        input_norm = pulse.norm()
-        if not abs(input_norm - 1.0) <= PULSE_NORM_TOL:
+        if not abs(pulse.norm() - 1.0) <= PULSE_NORM_TOL:
             raise CLIError(
-                f"{spec.kind} pulse has discrete norm {input_norm:.6g} on this grid, "
+                f"{spec.kind} pulse has discrete norm {pulse.norm():.6g} on this grid, "
                 f"off 1 by more than {PULSE_NORM_TOL}: the grid does not resolve it"
             )
+    grid, input_norm = pulse.grid, pulse.norm()
 
     outputs = {}
     if args.method in ("fft", "both"):
@@ -220,9 +205,7 @@ def _cmd_shape(args) -> int:
     }
     if len(outputs) == 2:
         diff = outputs["fft"].samples - outputs["ode"].samples
-        sidecar["l2_discrepancy"] = float(
-            np.sqrt(np.sum(np.abs(diff) ** 2) * grid.dt)
-        )
+        sidecar["l2_discrepancy"] = Pulse(grid, diff).norm()
     sidecar_path = f"{args.output}.json"
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
@@ -338,11 +321,7 @@ def _memory_kernel_table(args):
 
 def _inverting_pulse_table(args):
     p = TwoLevelParams(args.kappa, args.omega_c)
-    n = _grid_size(args)
-    span = 40.0 / p.kappa if args.dt is None else n * args.dt
-    dt = span / n
-    t_start = args.t_start if args.t_start is not None else -0.75 * span
-    grid = TimeGrid(t_start=t_start, dt=dt, n=n)
+    grid = _grid(args, 40.0 / p.kappa, 0.75)
     return pulse_table(rising_exp_pulse(grid, p.kappa, p.omega_c))
 
 

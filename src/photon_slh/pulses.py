@@ -10,9 +10,10 @@ second-order accuracy.
 
 Two independent shaping paths are provided:
 
-* :func:`shape_fft` multiplies the pulse spectrum by the filter response per
-  frequency bin (the delta feedthrough is applied exactly in the time
-  domain, never discretized);
+* :func:`shape_fft` multiplies the whole pulse spectrum by the filter
+  response ``G(i w)`` per frequency bin, feedthrough included: the DFT is
+  linear, so applying ``S`` apart in the time domain would change only
+  rounding;
 * :func:`shape_ode` integrates, per stage, the scalar state
   ``eta' = a eta + drive . xi`` (``drive = h theta^dag S``) by classical
   fixed-step RK4 (input linear between samples) and forms
@@ -111,7 +112,6 @@ class Pulse:
 
     grid: TimeGrid
     samples: np.ndarray
-    kind: str = "sampled"
 
     def __post_init__(self) -> None:
         s = np.array(self.samples, dtype=complex)
@@ -150,12 +150,12 @@ def _step_up(t: np.ndarray, edge: float, dt: float) -> np.ndarray:
     return s
 
 
-def _mono(grid: TimeGrid, column: np.ndarray, channels: int, channel: int, kind: str) -> Pulse:
+def _mono(grid: TimeGrid, column: np.ndarray, channels: int, channel: int) -> Pulse:
     if not 0 <= channel < channels:
         raise ValueError(f"channel {channel} out of range for {channels} channels")
     samples = np.zeros((grid.n, channels), dtype=complex)
     samples[:, channel] = column
-    return Pulse(grid=grid, samples=samples, kind=kind)
+    return Pulse(grid=grid, samples=samples)
 
 
 def gaussian_pulse(
@@ -169,8 +169,10 @@ def gaussian_pulse(
     if not 1e-150 <= sigma <= 1e150:
         raise ValueError(f"sigma must lie in [1e-150, 1e150], got {sigma:g}")
     t = grid.times()
-    col = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-((t - t0) ** 2) / (4.0 * sigma**2))
-    return _mono(grid, col.astype(complex), channels, channel, "gaussian")
+    # Far from t0 the square overflows to inf, and exp(-inf) is the right 0.
+    with np.errstate(over="ignore"):
+        col = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-((t - t0) ** 2) / (4.0 * sigma**2))
+    return _mono(grid, col.astype(complex), channels, channel)
 
 
 def decaying_exp_pulse(
@@ -186,7 +188,7 @@ def decaying_exp_pulse(
     with np.errstate(over="ignore"):
         decay = np.exp(-0.5 * kappa * np.maximum(t - t_on, 0.0))
     col = np.sqrt(kappa) * decay * _step_up(t, t_on, grid.dt)
-    return _mono(grid, col.astype(complex), channels, channel, "decaying_exp")
+    return _mono(grid, col.astype(complex), channels, channel)
 
 
 def rising_exp_pulse(
@@ -201,13 +203,17 @@ def rising_exp_pulse(
     """
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
+    # |omega_c t| is largest at the first sample of the support t <= 0.
+    if not math.isfinite(omega_c * min(grid.t_start, 0.0)):
+        raise ValueError(
+            f"omega_c {omega_c:g} is too large for this grid: the phase omega_c*t overflows"
+        )
     t = grid.times()
-    # Clipped to the support as in decaying_exp_pulse.  A phase beyond the float
-    # range gives non-finite samples, which Pulse refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Clipped to the support as in decaying_exp_pulse.
+    with np.errstate(over="ignore"):
         rise = np.exp((0.5 * kappa - 1j * omega_c) * np.minimum(t, 0.0))
     col = -np.sqrt(kappa) * rise * (1.0 - _step_up(t, 0.0, grid.dt))
-    return _mono(grid, col, channels, channel, "rising_exp")
+    return _mono(grid, col, channels, channel)
 
 
 def square_pulse(
@@ -218,7 +224,7 @@ def square_pulse(
         raise ValueError("square pulse needs t1 > t0")
     t = grid.times()
     col = (_step_up(t, t0, grid.dt) - _step_up(t, t1, grid.dt)) / np.sqrt(t1 - t0)
-    return _mono(grid, col.astype(complex), channels, channel, "square")
+    return _mono(grid, col.astype(complex), channels, channel)
 
 
 _PULSE_BUILDERS = {
@@ -297,18 +303,15 @@ def _match_channels(p: Pulse, f: PhotonTransfer) -> None:
 def shape_fft(p: Pulse, f: PhotonTransfer) -> Pulse:
     """Shape a pulse through the filter in the frequency domain.
 
-    Per FFT bin, :meth:`PhotonTransfer.apply` multiplies the input spectrum by
-    ``G(i w)``.  The feedthrough ``D`` is applied exactly to the time samples;
-    only the strictly proper part ``G x - D x`` passes through the FFT pair.
+    Per FFT bin, :meth:`PhotonTransfer.apply` multiplies the whole input
+    spectrum, feedthrough included, by ``G(i w)``.  Since the DFT is linear,
+    the feedthrough part comes back as exactly ``S x``, up to rounding.
     Raises :class:`GridSpanError` when the kernel cannot settle on the grid.
     """
     _match_channels(p, f)
     _check_span(p, f)
-    d_t = f.feedthrough.T
-    spec = np.fft.fft(p.samples, axis=0)
-    smooth = f.apply(p.grid.omegas(), spec) - spec.dot(d_t)
-    out = p.samples.dot(d_t) + np.fft.ifft(smooth, axis=0)
-    return Pulse(grid=p.grid, samples=out)
+    spec = f.apply(p.grid.omegas(), np.fft.fft(p.samples, axis=0))
+    return Pulse(grid=p.grid, samples=np.fft.ifft(spec, axis=0))
 
 
 def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:

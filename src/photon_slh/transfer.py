@@ -10,8 +10,7 @@ so its impulse response is ``S delta(t) + theta drive exp(a t)`` for
 ``t >= 0``, one scalar state per stage.  ``PhotonTransfer(stages=f1.stages +
 f2.stages)`` is ``f2`` after ``f1``.  A cascade applies this update stage by
 stage, never forming a per-frequency matrix, and keeps each pole exact, so
-long chains stay well conditioned.  Time-domain shaping (:mod:`photon_slh.pulses`)
-applies ``S`` exactly and convolves only the smooth kernel.
+long chains stay well conditioned.
 """
 
 from __future__ import annotations
@@ -115,14 +114,6 @@ class PhotonTransfer:
     @property
     def channels(self) -> int:
         return self.stages[0].channels
-
-    @property
-    def feedthrough(self) -> np.ndarray:
-        """Product of the stage feedthrough matrices (last stage leftmost)."""
-        d = np.eye(self.channels, dtype=complex)
-        for st in self.stages:
-            d = st.S @ d
-        return d
 
     def apply(self, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """``G(i w_m)`` times row ``m`` of ``rows`` (shape ``(n, K)``), as a new array.

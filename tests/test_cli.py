@@ -208,6 +208,54 @@ class TestShape:
         expected = shape_fft(pulse, filt)
         assert np.max(np.abs(got.samples - expected.samples)) < 1e-15
 
+    @pytest.mark.parametrize(
+        "flags, grid",
+        [
+            ([], {"t_start": -24.0, "dt": 48.0 / 2**14, "n": 2**14}),
+            (["--dt", "0.01"], {"t_start": -20.48, "dt": 0.01, "n": 2**12}),
+            (["--t-start", "-3"], {"t_start": -3.0, "dt": 48.0 / 2**12, "n": 2**12}),
+            (["--dt", "0.01", "--t-start", "-20"], {"t_start": -20.0, "dt": 0.01, "n": 2**12}),
+        ],
+        ids=["default", "dt", "t-start", "dt-and-t-start"],
+    )
+    def test_grid(self, model_path, tmp_path, capsys, flags, grid):
+        # Default span 24/|Re a| = 48 for kappa = 1; t_start = -n dt / 2 unless given.
+        out = tmp_path / "x.csv"
+        log2_n = [] if not flags else ["--log2-n", "12"]
+        argv = ["shape", str(model_path), *log2_n, *flags, "--method", "both", "-o", str(out)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == grid
+        times = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+        assert times == [f"{t:.16e}" for t in TimeGrid(**grid).times()]
+
+    @pytest.mark.parametrize("dt", ["-1", "0"])
+    def test_nonpositive_dt_exits_1(self, model_path, tmp_path, capsys, dt):
+        out = tmp_path / "x.csv"
+        assert main(["shape", str(model_path), "--dt", dt, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dt must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pulse_channels, model_channels", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("method", ["fft", "ode"])
+    def test_csv_pulse_channel_mismatch_exits_1(
+        self, model_path, swap_path, tmp_path, capsys, pulse_channels, model_channels, method
+    ):
+        grid = TimeGrid(t_start=-24.0, dt=48.0 / 2**12, n=2**12)
+        pulse_path = tmp_path / "in.csv"
+        write_pulse_csv(gaussian_pulse(grid, -8.0, 0.8, channels=pulse_channels), pulse_path)
+        model = model_path if model_channels == 1 else swap_path
+        out = tmp_path / "out.csv"
+        argv = ["shape", str(model), "--pulse", f"csv:{pulse_path}", "--method", method]
+        assert main([*argv, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: pulse has {pulse_channels} channels but the filter has {model_channels}\n"
+        )
+        assert not out.exists()
+
     def test_grid_too_short_exits_3(self, model_path, tmp_path, capsys):
         out = tmp_path / "short.csv"
         code = main(
@@ -324,6 +372,17 @@ class TestShape:
         assert captured.err == f"error: pulse parameter {name} must be finite, got {value}\n"
         assert not out.exists()
 
+    def test_rising_phase_overflow_exits_1(self, model_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["shape", str(model_path), "--pulse", "rising_exp:omega_c=1e308", "-o", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: omega_c 1e+308 is too large for this grid: the phase omega_c*t overflows\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "pulse, norm",
         [
@@ -332,6 +391,7 @@ class TestShape:
             ("gaussian:t0=1000", "0"),
             ("square:t0=0,t1=1e-320", "0"),
             ("decaying_exp:kappa=1e300", "2.70633e+148"),
+            ("gaussian:t0=1e200", "0"),  # (t - t0)**2 overflows: no warning, only this
             ("square:t0=-24.5,t1=-20", "0.943039"),  # starts 0.5 before the grid
         ],
     )
@@ -602,6 +662,30 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --log2-n must be in [8, 22], got {log2_n}\n"
+
+    @pytest.mark.parametrize(
+        "flags, t_start, dt",
+        [
+            ([], -15.0, 20.0 / 2**8),
+            (["--dt", "0.25"], -48.0, 0.25),
+            (["--t-start", "-1"], -1.0, 20.0 / 2**8),
+            (["--dt", "0.25", "--t-start", "-1"], -1.0, 0.25),
+        ],
+        ids=["default", "dt", "t-start", "dt-and-t-start"],
+    )
+    def test_inverting_pulse_grid(self, capsys, flags, t_start, dt):
+        # Default span 40/kappa = 20 for kappa = 2; t_start = -3 n dt / 4 unless given.
+        assert main(["oracle", "inverting-pulse", "--kappa", "2", "--log2-n", "8", *flags]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        times = TimeGrid(t_start=t_start, dt=dt, n=2**8).times()
+        assert [row.split(",")[0] for row in rows] == [f"{t:.16e}" for t in times]
+
+    @pytest.mark.parametrize("dt", ["-1", "0"])
+    def test_inverting_pulse_rejects_nonpositive_dt(self, capsys, dt):
+        assert main(["oracle", "inverting-pulse", "--dt", dt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dt must be positive\n"
 
     @pytest.mark.parametrize("kappa", ["0", "-1"])
     def test_inverting_pulse_rejects_nonpositive_kappa(self, capsys, kappa):

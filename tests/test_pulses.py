@@ -145,17 +145,44 @@ class TestFactories:
     )
     def test_one_sided_exponential_never_warns(self, kappa, shift, rising):
         # Any finite parameters give a finite pulse or a ValueError, without a
-        # RuntimeWarning (pytest turns warnings into errors).
+        # RuntimeWarning (pytest turns warnings into errors).  The one refusal is
+        # a rising phase omega_c * t past the float range, at t = -24.
         grid = TimeGrid(t_start=-24.0, dt=48.0 / 2**10, n=2**10)
+        overflows = rising and not math.isfinite(shift * -24.0)
         try:
             if rising:
                 p = rising_exp_pulse(grid, kappa, omega_c=shift)
             else:
                 p = decaying_exp_pulse(grid, kappa, t_on=shift)
         except ValueError as exc:
-            assert str(exc) == "pulse samples must be finite"
+            assert overflows
+            assert str(exc) == (
+                f"omega_c {shift:g} is too large for this grid: the phase omega_c*t overflows"
+            )
             return
+        assert not overflows
         assert np.all(np.isfinite(p.samples))
+
+    @pytest.mark.parametrize("omega_c", [1e308, -1e308, 8e306])
+    def test_rising_phase_overflow_names_omega_c(self, omega_c):
+        grid = TimeGrid(t_start=-24.0, dt=48.0 / 2**10, n=2**10)
+        with pytest.raises(ValueError, match=r"^omega_c .* is too large for this grid"):
+            rising_exp_pulse(grid, 1.0, omega_c=omega_c)
+
+    def test_rising_phase_at_the_float_limit_is_sampled(self):
+        # On a grid that starts at t = 0 the support is one sample: no phase to overflow.
+        p = rising_exp_pulse(TimeGrid(t_start=0.0, dt=0.25, n=2**8), 4.0, omega_c=1e308)
+        assert p.samples[0, 0] == -1.0 and not np.any(p.samples[1:])
+        # Just inside the float range the phase is finite and the pulse is sampled.
+        grid = TimeGrid(t_start=-1.0, dt=2.0 / 2**8, n=2**8)
+        assert np.all(np.isfinite(rising_exp_pulse(grid, 4.0, omega_c=1e308).samples))
+
+    @pytest.mark.parametrize("t0", [1e200, -1e200, 1e308])
+    def test_far_gaussian_is_zero_without_warning(self, t0):
+        # (t - t0)**2 overflows to inf; exp(-inf) is the right 0 (a RuntimeWarning
+        # fails the test).
+        p = gaussian_pulse(offset_grid(48.0, log2_n=10), t0=t0, sigma=1.0)
+        assert not np.any(p.samples)
 
     def test_square_norm(self):
         grid = offset_grid(16.0, log2_n=10)
