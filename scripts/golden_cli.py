@@ -163,6 +163,17 @@ def _commands():
                               "-o", "err_far_gaussian.csv"]),
         ("err_rising_phase", ["shape", "models/k1.json", "--pulse", "rising_exp:omega_c=1e308",
                               "-o", "err_rising_phase.csv"]),
+        # a csv: pulse brings its own grid, and --channel must name a model channel
+        ("err_csv_grid_flags", ["shape", "models/k1.json", "--pulse",
+                                "csv:shape_k1_c1_fft/shape_k1_c1_fft.csv", "--dt", "5",
+                                "--t-start", "7", "--log2-n", "30", "--channel", "3",
+                                "-o", "err_csv_grid.csv"]),
+        ("shape_k2_csv_channel", ["shape", "models/k2.json", "--pulse",
+                                  "csv:shape_k2_c1_fft/shape_k2_c1_fft.csv", "--channel", "1",
+                                  "-o", "csv_channel.csv"]),
+        # the chain's residual is 0.377: --tol above the ceiling is refused
+        ("err_chain_tol_1", ["shape", "compose_series_sites/chain.json", "--tol", "1",
+                             "-o", "err_chain_tol_1.csv"]),
     ]
     return cmds
 
@@ -178,7 +189,6 @@ def run(root: str, out: str) -> None:
         with open(os.path.join(out, "models", f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
-    env.pop("PHOTON_SLH_TOL", None)
     for name, argv in _commands():
         before = set(os.listdir(out))
         proc = subprocess.run([sys.executable, "-m", "photon_slh.cli", *argv], cwd=out,

@@ -3,16 +3,14 @@
 JSON models in, CSV/JSON out; no plotting.  Exit codes are a stable
 contract: 0 success, 1 I/O or parse error, 2 condition-check failure,
 3 insufficient time grid (a suggested span is printed), 4 singular
-feedback loop.  The environment variable ``PHOTON_SLH_TOL`` overrides the
-default 1e-10 condition tolerance; a ``--tol`` flag wins over both.  Either
-must be finite and nonnegative.
+feedback loop.  ``--tol`` sets the condition tolerance (default 1e-10); it
+must lie in ``[0, TOL_CEILING]``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -38,9 +36,9 @@ from .oracles import (
     two_level_g,
 )
 from .pulses import (
+    PULSE_KINDS,
     GridSpanError,
     Pulse,
-    PulseSpec,
     TimeGrid,
     parse_pulse_spec,
     pulse_table,
@@ -58,6 +56,13 @@ from .transfer import PhotonTransfer, from_model
 #: the grid does not hold it.
 PULSE_NORM_TOL = 0.05
 
+#: Loosest condition tolerance ``--tol`` accepts.  Residuals are relative, so a
+#: tolerance near 1 admits models that are no one-pole filter at all (a series
+#: chain of two atoms has ``commutator_proportional`` residual 0.377), which
+#: ``shape`` would turn into a wrong pulse.  1e-3 still admits model data
+#: rounded to a few digits.
+TOL_CEILING = 1e-3
+
 
 class CLIError(ValueError):
     """A usage or input error; ``main`` reports it like any ValueError (exit 1)."""
@@ -70,19 +75,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _condition_tol(args) -> float:
-    tol, source = getattr(args, "tol", None), "--tol"
-    if tol is None:
-        env = os.environ.get("PHOTON_SLH_TOL")
-        if env is None:
-            return DEFAULT_TOL
-        source = "PHOTON_SLH_TOL"
-        try:
-            tol = float(env)
-        except ValueError as exc:
-            raise CLIError(f"PHOTON_SLH_TOL is not a number: {env!r}") from exc
-    if not 0.0 <= tol < np.inf:
-        raise CLIError(f"{source} must be finite and nonnegative, got {tol}")
-    return tol
+    if not 0.0 <= args.tol <= TOL_CEILING:
+        raise CLIError(f"--tol must lie in [0, {TOL_CEILING:g}], got {args.tol}")
+    return args.tol
 
 
 def _parse_range(text: str, name: str) -> np.ndarray:
@@ -137,28 +132,17 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid(args, default_span: float, lead: float) -> TimeGrid:
-    """The ``--log2-n`` grid: ``dt = default_span / n`` unless ``--dt`` is given,
+def _grid(args, default_span: float, lead: float, default_log2_n: int) -> TimeGrid:
+    """The grid of ``n = 2**log2_n`` samples, ``log2_n = default_log2_n`` unless
+    ``--log2-n`` is given: ``dt = default_span / n`` unless ``--dt`` is given,
     and ``t_start = -lead n dt`` unless ``--t-start`` is given."""
-    if not 8 <= args.log2_n <= 22:
-        raise CLIError(f"--log2-n must be in [8, 22], got {args.log2_n}")
-    n = 2**args.log2_n
+    log2_n = default_log2_n if args.log2_n is None else args.log2_n
+    if not 8 <= log2_n <= 22:
+        raise CLIError(f"--log2-n must be in [8, 22], got {log2_n}")
+    n = 2**log2_n
     dt = default_span / n if args.dt is None else args.dt
     t_start = -lead * n * dt if args.t_start is None else args.t_start
     return TimeGrid(t_start=t_start, dt=dt, n=n)
-
-
-def _default_pulse_params(kind: str, grid: TimeGrid, pole) -> dict:
-    span = grid.span
-    if kind == "gaussian":
-        return {"t0": grid.t_start + 0.25 * span, "sigma": span / 32.0}
-    if kind == "square":
-        return {"t0": grid.t_start + 0.125 * span, "t1": grid.t_start + 0.25 * span}
-    if kind == "rising_exp":
-        return {"kappa": 2.0 * abs(pole.real), "omega_c": -pole.imag}
-    if kind == "decaying_exp":
-        return {"kappa": 2.0 * abs(pole.real), "t_on": 0.0}
-    return {}
 
 
 def _cmd_shape(args) -> int:
@@ -167,17 +151,21 @@ def _cmd_shape(args) -> int:
     filt = from_model(m, tol=tol)
     if args.cascade < 1:
         raise CLIError("--cascade must be at least 1")
+    if not 0 <= args.channel < m.channels:
+        raise CLIError(f"channel {args.channel} out of range for {m.channels} channels")
     filt = PhotonTransfer(stages=filt.stages * args.cascade)
     pole = filt.stages[0].a
 
     if args.pulse.startswith("csv:"):
+        grid_flags = (("--dt", args.dt), ("--t-start", args.t_start), ("--log2-n", args.log2_n))
+        for flag, value in grid_flags:
+            if value is not None:
+                raise CLIError(f"{flag} does not apply to a csv: pulse, which brings its own grid")
         pulse = read_pulse_csv(args.pulse[4:])
     else:
         # Settling-based default: span comfortably beyond the kernel tail bound.
-        grid = _grid(args, 24.0 / abs(pole.real), 0.5)
-        spec = parse_pulse_spec(args.pulse)
-        defaults = _default_pulse_params(spec.kind, grid, pole)
-        spec = PulseSpec(spec.kind, {**defaults, **spec.params})
+        grid = _grid(args, 24.0 / abs(pole.real), 0.5, 14)
+        spec = parse_pulse_spec(args.pulse).with_defaults(grid, pole)
         pulse = spec.materialize(grid, channels=m.channels, channel=args.channel)
         if not abs(pulse.norm() - 1.0) <= PULSE_NORM_TOL:
             raise CLIError(
@@ -321,7 +309,7 @@ def _memory_kernel_table(args):
 
 def _inverting_pulse_table(args):
     p = TwoLevelParams(args.kappa, args.omega_c)
-    grid = _grid(args, 40.0 / p.kappa, 0.75)
+    grid = _grid(args, 40.0 / p.kappa, 0.75, 12)
     return pulse_table(rising_exp_pulse(grid, p.kappa, p.omega_c))
 
 
@@ -362,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check the linear-response conditions of a model")
     p_val.add_argument("model", help="model JSON file")
-    p_val.add_argument("--tol", type=float, default=None, help="condition tolerance")
+    p_val.add_argument("--tol", type=float, default=DEFAULT_TOL, help="condition tolerance")
     p_val.set_defaults(func=_cmd_validate)
 
     p_shape = sub.add_parser("shape", help="shape a pulse through a model's filter")
@@ -370,16 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_shape.add_argument("--cascade", type=int, default=1, help="repeat the filter N times")
     p_shape.add_argument(
         "--pulse",
-        default="gaussian",
-        help="kind[:name=value,...] among gaussian, square, rising_exp, decaying_exp, "
-        "or csv:PATH for a sampled pulse",
+        default=next(iter(PULSE_KINDS)),
+        help=f"kind[:name=value,...] among {', '.join(PULSE_KINDS)}, "
+        "or csv:PATH for a sampled pulse, which brings its own grid",
     )
     p_shape.add_argument("--channel", type=int, default=0, help="input channel for analytic pulses")
     p_shape.add_argument("--method", choices=("fft", "ode", "both"), default="fft")
     p_shape.add_argument("--t-start", type=float, default=None, dest="t_start")
     p_shape.add_argument("--dt", type=float, default=None)
-    p_shape.add_argument("--log2-n", type=int, default=14, dest="log2_n")
-    p_shape.add_argument("--tol", type=float, default=None)
+    p_shape.add_argument("--log2-n", type=int, default=None, dest="log2_n", help="default 14")
+    p_shape.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_shape.add_argument("-o", "--output", required=True, help="output pulse CSV path")
     p_shape.set_defaults(func=_cmd_shape)
 
@@ -398,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="tabulate the frequency response of a model")
     p_sweep.add_argument("model", help="model JSON file")
     p_sweep.add_argument("--omega", required=True, help="start:stop:count (rad/time)")
-    p_sweep.add_argument("--tol", type=float, default=None)
+    p_sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_sweep.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -413,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--t", default="0:20:201", help="start:stop:count (memory-kernel)")
     p_or.add_argument("--t-start", type=float, default=None, dest="t_start")
     p_or.add_argument("--dt", type=float, default=None)
-    p_or.add_argument("--log2-n", type=int, default=12, dest="log2_n")
+    p_or.add_argument("--log2-n", type=int, default=None, dest="log2_n", help="default 12")
     p_or.add_argument(
         "--scattering", choices=sorted(_SCATTERING_PRESETS), default="swap",
         help="feedback-g scattering preset",

@@ -121,11 +121,6 @@ class SLHModel:
     def levels(self) -> int:
         return self.H0.dim
 
-    @property
-    def L(self) -> tuple:
-        """Per-channel coupling operators ``theta_k * L0``, built on each access."""
-        return tuple(complex(c) * self.L0 for c in self.theta)
-
     @classmethod
     def factored(
         cls,

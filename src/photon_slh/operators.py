@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL",
-    "TENSOR_DIM_CAP",
     "Operator",
     "identity",
     "zero",
@@ -26,7 +24,6 @@ __all__ = [
     "sigma_plus",
     "sigma_minus",
     "ground_state",
-    "basis_state",
     "commutator",
     "embed_site",
 ]

@@ -50,7 +50,6 @@ __all__ = [
     "shape_ode",
     "read_pulse_csv",
     "write_pulse_csv",
-    "parse_pulse_spec",
 ]
 
 #: Kernel tail energy allowed beyond half the grid span before shaping
@@ -227,11 +226,36 @@ def square_pulse(
     return _mono(grid, col.astype(complex), channels, channel)
 
 
-_PULSE_BUILDERS = {
-    "gaussian": (gaussian_pulse, ("t0", "sigma")),
-    "decaying_exp": (decaying_exp_pulse, ("kappa", "t_on")),
-    "rising_exp": (rising_exp_pulse, ("kappa", "omega_c")),
-    "square": (square_pulse, ("t0", "t1")),
+#: One row per analytic pulse kind: ``(builder, parameter names, defaults)``.
+#: ``defaults(grid, pole)`` gives every parameter a value matched to the grid
+#: and to the pole ``a`` of the filter the pulse is shaped through; the
+#: one-sided exponentials take the pole's rate, and ``rising_exp`` its
+#: resonance too, so that it is the matched, fully absorbed pulse.  The first
+#: row is the kind the command line shapes when none is named.
+PULSE_KINDS = {
+    "gaussian": (
+        gaussian_pulse,
+        ("t0", "sigma"),
+        lambda grid, a: {"t0": grid.t_start + 0.25 * grid.span, "sigma": grid.span / 32.0},
+    ),
+    "decaying_exp": (
+        decaying_exp_pulse,
+        ("kappa", "t_on"),
+        lambda grid, a: {"kappa": 2.0 * abs(a.real), "t_on": 0.0},
+    ),
+    "rising_exp": (
+        rising_exp_pulse,
+        ("kappa", "omega_c"),
+        lambda grid, a: {"kappa": 2.0 * abs(a.real), "omega_c": -a.imag},
+    ),
+    "square": (
+        square_pulse,
+        ("t0", "t1"),
+        lambda grid, a: {
+            "t0": grid.t_start + 0.125 * grid.span,
+            "t1": grid.t_start + 0.25 * grid.span,
+        },
+    ),
 }
 
 
@@ -243,11 +267,11 @@ class PulseSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _PULSE_BUILDERS:
+        if self.kind not in PULSE_KINDS:
             raise ValueError(
-                f"unknown pulse kind '{self.kind}'; choose from {sorted(_PULSE_BUILDERS)}"
+                f"unknown pulse kind '{self.kind}'; choose from {sorted(PULSE_KINDS)}"
             )
-        builder, names = _PULSE_BUILDERS[self.kind]
+        _, names, _ = PULSE_KINDS[self.kind]
         unknown = set(self.params) - set(names)
         if unknown:
             raise ValueError(f"unknown parameters for {self.kind}: {sorted(unknown)}")
@@ -256,12 +280,17 @@ class PulseSpec:
                 raise ValueError(f"pulse parameter {name} must be finite, got {value}")
 
     def materialize(self, grid: TimeGrid, channels: int = 1, channel: int = 0) -> Pulse:
-        builder, names = _PULSE_BUILDERS[self.kind]
+        builder, names, _ = PULSE_KINDS[self.kind]
         missing = [n for n in names if n not in self.params]
         if missing:
             raise ValueError(f"pulse kind {self.kind} needs parameters {missing}")
         args = [float(self.params[n]) for n in names]
         return builder(grid, *args, channels=channels, channel=channel)
+
+    def with_defaults(self, grid: TimeGrid, pole: complex) -> "PulseSpec":
+        """This spec with each parameter it leaves out set by its kind's default rule."""
+        _, _, defaults = PULSE_KINDS[self.kind]
+        return PulseSpec(self.kind, {**defaults(grid, pole), **self.params})
 
 
 def parse_pulse_spec(text: str) -> PulseSpec:

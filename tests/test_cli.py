@@ -17,11 +17,12 @@ from photon_slh import (
     zero,
 )
 from photon_slh.cli import main
-from photon_slh.pulses import TimeGrid, gaussian_pulse, read_pulse_csv
+from photon_slh.pulses import PULSE_KINDS, TimeGrid, gaussian_pulse, read_pulse_csv
 from conftest import BS50, SWAP, two_channel_model, two_level_model
 from test_model import embedded_two_channel_pair, joint_memory_model
 
 KAPPA, OMEGA_C = 1.0, 0.8
+CSV_GRID = "does not apply to a csv: pulse, which brings its own grid"
 
 
 @pytest.fixture
@@ -74,8 +75,8 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
-    def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
-        # Hermitian nudge that fails at 1e-10 but passes at 1e-3
+    def test_tol_flag_override(self, tmp_path, capsys):
+        # Hermitian nudge that fails at 1e-10 but passes at the ceiling 1e-3
         h0 = (OMEGA_C / 2.0) * sigma_z().mat + 1e-6 * np.array([[0.0, 1.0], [1.0, 0.0]])
         m = SLHModel.factored(
             np.array([[1.0]]), [np.sqrt(KAPPA)], sigma_minus(), Operator(h0)
@@ -83,42 +84,27 @@ class TestValidate:
         path = tmp_path / "nudged.json"
         save_model(m, path)
         assert main(["validate", str(path)]) == 2
-        capsys.readouterr()
-        monkeypatch.setenv("PHOTON_SLH_TOL", "1e-3")
-        assert main(["validate", str(path)]) == 0
-        capsys.readouterr()
-        # explicit flag wins over the environment
+        assert main(["validate", str(path), "--tol", "1e-3"]) == 0
         assert main(["validate", str(path), "--tol", "1e-12"]) == 2
 
-    def test_bad_env_value(self, model_path, monkeypatch, capsys):
-        monkeypatch.setenv("PHOTON_SLH_TOL", "not-a-number")
-        assert main(["validate", str(model_path)]) == 1
-
-    @pytest.mark.parametrize("value", ["inf", "nan", "-1e-3"])
-    @pytest.mark.parametrize("source", ["--tol", "PHOTON_SLH_TOL"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1e-3", "1"])
+    @pytest.mark.parametrize("flag", ["--tol"])
     @pytest.mark.parametrize("command", ["validate", "shape", "sweep"])
     def test_tolerance_must_be_finite_and_nonnegative(
-        self, tmp_path, capsys, monkeypatch, command, source, value
+        self, tmp_path, capsys, command, flag, value
     ):
-        # A two-atom chain is no one-pole filter: an infinite tolerance would let
-        # shape accept it and write a wrong pulse.
+        # A two-atom chain is no one-pole filter (residual 0.377): a tolerance
+        # above the ceiling would let shape accept it and write a wrong pulse.
         path = tmp_path / "chain.json"
         save_model(joint_memory_model(1.0, 0.5), path)
         assert main(["validate", str(path)]) == 2
         capsys.readouterr()
         out = tmp_path / "x.csv"
         extra = {"validate": [], "shape": ["-o", str(out)], "sweep": ["--omega", "0:1:2"]}
-        argv = [command, str(path), *extra[command]]
-        if source == "--tol":
-            argv.append(f"--tol={value}")
-        else:
-            monkeypatch.setenv(source, value)
-        assert main(argv) == 1
+        assert main([command, str(path), *extra[command], f"{flag}={value}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: {source} must be finite and nonnegative, got {float(value)}\n"
-        )
+        assert captured.err == f"error: {flag} must lie in [0, 0.001], got {float(value)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -268,6 +254,28 @@ class TestShape:
         assert main(["shape", str(model_path), "--log2-n", "7", "-o", str(tmp_path / "x.csv")]) == 1
         assert main(["shape", str(model_path), "--log2-n", "23", "-o", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            (["--dt", "5"], f"--dt {CSV_GRID}"),
+            (["--t-start", "7"], f"--t-start {CSV_GRID}"),
+            (["--log2-n", "14"], f"--log2-n {CSV_GRID}"),  # the default, but given
+            (["--channel", "2"], "channel 2 out of range for 2 channels"),
+            (["--channel", "-1"], "channel -1 out of range for 2 channels"),
+            (["--channel", "1"], None),
+        ],
+        ids=["dt", "t-start", "log2-n", "channel-high", "channel-negative", "channel-in-range"],
+    )
+    def test_csv_pulse_flags(self, swap_path, tmp_path, capsys, flags, err):
+        grid = TimeGrid(t_start=-24.0, dt=48.0 / 2**12, n=2**12)
+        pulse_path = tmp_path / "in.csv"
+        write_pulse_csv(gaussian_pulse(grid, -8.0, 0.8, channels=2), pulse_path)
+        out = tmp_path / "out.csv"
+        argv = ["shape", str(swap_path), "--pulse", f"csv:{pulse_path}", *flags, "-o", str(out)]
+        assert main(argv) == (1 if err else 0)
+        assert capsys.readouterr().err == (f"error: {err}\n" if err else "")
+        assert out.exists() is (err is None)
+
     def test_csv_pulse_input(self, model_path, tmp_path):
         grid = TimeGrid(t_start=-24.0, dt=48.0 / 2**12, n=2**12)
         pulse = gaussian_pulse(grid, t0=-8.0, sigma=0.8)
@@ -409,10 +417,7 @@ class TestShape:
     @pytest.mark.parametrize(
         "pulse, log2_n",
         [
-            ("gaussian", "8"),
-            ("square", "8"),
-            ("rising_exp", "8"),
-            ("decaying_exp", "8"),
+            *((kind, "8") for kind in PULSE_KINDS),  # every kind at its default parameters
             ("rising_exp:kappa=60", "14"),
             ("decaying_exp:kappa=60,t_on=5", "14"),
             ("square:t0=-24.3,t1=-20", "14"),  # norm 0.9647: within the bound

@@ -29,6 +29,11 @@ from photon_slh import (
 from conftest import BS50, SWAP, haar_unitary, two_channel_model, two_level_model
 
 
+def couplings(m: SLHModel) -> list:
+    """Per-channel coupling matrices ``theta_k L0``."""
+    return [c * m.L0.mat for c in m.theta]
+
+
 def joint_memory_model(kappa: float, omega_c: float, n_sites: int = 2) -> SLHModel:
     """All-atoms-at-once memory chain model on the joint space."""
     sm, sz, sp = sigma_minus(), sigma_z(), sigma_plus()
@@ -172,9 +177,8 @@ class TestModelInvariants:
     def test_coupling_is_theta_times_l0(self):
         m = two_channel_model(1.0, 0.25, 0.3, S=BS50)
         assert [f.name for f in dataclasses.fields(SLHModel)] == ["S", "theta", "L0", "H0"]
-        assert len(m.L) == m.channels
-        for c, op in zip(m.theta, m.L):
-            assert np.array_equal(op.mat, c * m.L0.mat)
+        assert np.array_equal(m.theta, [1.0, 0.5])
+        assert np.array_equal(m.L0.mat, sigma_minus().mat)
 
 
 class TestValidateModel:
@@ -258,7 +262,7 @@ class TestSeriesProduct:
         passthrough = SLHModel.factored(np.eye(1), [0.0], zero(2), zero(2))
         out = series_product(passthrough, m)
         assert np.allclose(out.S, m.S)
-        assert np.max(np.abs(out.L[0].mat - m.L[0].mat)) == 0.0
+        assert np.max(np.abs(couplings(out)[0] - couplings(m)[0])) == 0.0
         assert np.max(np.abs(out.H0.mat - m.H0.mat)) == 0.0
 
     def test_two_embedded_atoms_give_memory_hamiltonian(self):
@@ -277,7 +281,7 @@ class TestSeriesProduct:
         ser = series_product(atom[1], atom[0])
         ref = joint_memory_model(kappa, omega_c)
         assert np.max(np.abs(ser.H0.mat - ref.H0.mat)) < 1e-14
-        assert np.max(np.abs(ser.L[0].mat - ref.L[0].mat)) < 1e-14
+        assert np.max(np.abs(couplings(ser)[0] - couplings(ref)[0])) < 1e-14
 
     def test_hand_expanded_two_cavity_series(self):
         # distinct phases and couplings, expanded by hand on 2x2 operators
@@ -290,7 +294,7 @@ class TestSeriesProduct:
         out = series_product(g2, g1)
         assert out.S[0, 0] == pytest.approx(s2 * s1)
         expected_l = c2 * sigma_minus().mat + s2 * c1 * sigma_minus().mat
-        assert np.allclose(out.L[0].mat, expected_l, atol=1e-15)
+        assert np.allclose(couplings(out)[0], expected_l, atol=1e-15)
         cross = np.conj(c2) * s2 * c1 * (sigma_plus() @ sigma_minus()).mat
         expected_h = h1.mat + h2.mat + (cross - cross.conj().T) / 2j
         assert np.allclose(out.H0.mat, expected_h, atol=1e-15)
@@ -300,7 +304,7 @@ class TestSeriesProduct:
         left = series_product(models[2], series_product(models[1], models[0]))
         right = series_product(series_product(models[2], models[1]), models[0])
         assert np.max(np.abs(left.S - right.S)) < 1e-12
-        assert np.max(np.abs(left.L[0].mat - right.L[0].mat)) < 1e-12
+        assert np.max(np.abs(couplings(left)[0] - couplings(right)[0])) < 1e-12
         assert np.max(np.abs(left.H0.mat - right.H0.mat)) < 1e-12
 
     @settings(max_examples=80, deadline=None)
@@ -322,12 +326,11 @@ class TestSeriesProduct:
         )
         out = series_product(g2, g1)
         s2 = g2.S
-        l1 = [op.mat for op in g1.L]
-        l2 = [op.mat for op in g2.L]
+        l1, l2 = couplings(g1), couplings(g2)
         assert np.max(np.abs(out.S - s2 @ g1.S)) <= 1e-12
-        for i, op in enumerate(out.L):
+        for i, op in enumerate(couplings(out)):
             expected = l2[i] + sum(s2[i, j] * l1[j] for j in range(k))
-            assert np.max(np.abs(op.mat - expected)) <= 1e-12
+            assert np.max(np.abs(op - expected)) <= 1e-12
         cross = sum(s2[i, j] * (l2[i].conj().T @ l1[j]) for i in range(k) for j in range(k))
         expected_h = g1.H0.mat + g2.H0.mat + (cross - cross.conj().T) / 2j
         assert np.max(np.abs(out.H0.mat - expected_h)) <= 1e-12
