@@ -10,7 +10,8 @@ output is relative.  It covers every subcommand: ``shape`` by fft, ode and
 both at K = 1 and 2 and cascade 1 and 3, a ``csv:`` read-back, explicit
 ``--dt``/``--t-start`` grids of ``shape`` and ``oracle inverting-pulse``,
 ``compose --series`` of two-level models at K = 1 and 2 and of two embedded
-sites, and the error exits.  Per command it keeps ``OUT/<name>/exit``, ``stdout``, ``stderr`` and
+sites, a matched pulse on either side of the grid's band, and the error
+exits, unread and conflicting oracle flags among them.  Per command it keeps ``OUT/<name>/exit``, ``stdout``, ``stderr`` and
 the files the command wrote.  A traceback is kept as its last line, since its
 file paths and line numbers name the tree, not the behaviour.
 
@@ -76,6 +77,8 @@ MODELS = {
     "site0": _site(0, 1.0, 0.8),
     "site1": _site(1, 0.7, 0.5),
     "high_q": _model([[[1.0, 0.0]]], [0.1], 100.0),  # kappa 0.01: the self-test fails
+    "q2000": _model([[[1.0, 0.0]]], [0.1], 10.0),  # Q = 2 omega_c / kappa
+    "q3000": _model([[[1.0, 0.0]]], [0.1], 15.0),
     "unstable": _model([[[1.0, 0.0]]], [0.0], 0.8),  # no coupling: stability fails
 }
 
@@ -174,6 +177,17 @@ def _commands():
         # the chain's residual is 0.377: --tol above the ceiling is refused
         ("err_chain_tol_1", ["shape", "compose_series_sites/chain.json", "--tol", "1",
                              "-o", "err_chain_tol_1.csv"]),
+        # each oracle takes only the flags it reads, and one scattering source
+        ("err_oracle_unread_flags", ["oracle", "two-level-g", "--n", "5", "--dt", "3",
+                                     "--scattering", "bs50", "--t", "0:1:2"]),
+        ("err_oracle_s_and_scattering", ["oracle", "feedback-g", "--scattering", "bs50",
+                                         "--s", *"0 0 1 0 1 0 0 0".split(), "--omega", "0:1:2"]),
+        # the matched pulse's carrier against the default grid's band: past pi/dt at
+        # Q = 3000, inside it at Q = 2000
+        ("err_band_q3000", ["shape", "models/q3000.json", "--pulse", "rising_exp",
+                            "-o", "err_band_q3000.csv"]),
+        ("shape_band_q2000", ["shape", "models/q2000.json", "--pulse", "rising_exp",
+                              "-o", "band_q2000.csv"]),
     ]
     return cmds
 

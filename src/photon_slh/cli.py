@@ -52,8 +52,9 @@ from .pulses import (
 from .transfer import PhotonTransfer, from_model
 
 
-#: ``shape`` refuses an analytic pulse whose discrete norm misses 1 by more:
-#: the grid does not hold it.
+#: ``shape`` refuses an analytic pulse whose discrete norm misses 1 by more, or
+#: whose continuum spectrum has a larger energy fraction outside the grid's
+#: band ``[-pi/dt, pi/dt)``, which sampling aliases: the grid does not hold it.
 PULSE_NORM_TOL = 0.05
 
 #: Loosest condition tolerance ``--tol`` accepts.  Residuals are relative, so a
@@ -69,6 +70,11 @@ class CLIError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    # Only whole flag names: a prefix would be read as the one flag it starts,
+    # and a flag a command does not read would pass for one it does.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # Route argparse usage errors through the exit-code contract (1).
     def error(self, message):
         raise CLIError(message)
@@ -172,6 +178,13 @@ def _cmd_shape(args) -> int:
                 f"{spec.kind} pulse has discrete norm {pulse.norm():.6g} on this grid, "
                 f"off 1 by more than {PULSE_NORM_TOL}: the grid does not resolve it"
             )
+        # The discrete norm cannot see a carrier past Nyquist: it aliases intact.
+        leak = spec.out_of_band_fraction(grid.dt)
+        if not leak <= PULSE_NORM_TOL:
+            raise CLIError(
+                f"{spec.kind} pulse has energy fraction {leak:.6g} outside the grid's band "
+                f"[-pi/dt, pi/dt), more than {PULSE_NORM_TOL}: the grid does not resolve it"
+            )
     grid, input_norm = pulse.grid, pulse.norm()
 
     outputs = {}
@@ -189,7 +202,7 @@ def _cmd_shape(args) -> int:
         "grid": {"t_start": grid.t_start, "dt": grid.dt, "n": grid.n},
         "input_norm": input_norm,
         "output_norm": primary.norm(),
-        "pre_zero_energy_fraction": primary.energy_fraction_before(0.0),
+        "pre_zero_energy_fraction": primary.energy_fraction_before(),
     }
     if len(outputs) == 2:
         diff = outputs["fft"].samples - outputs["ode"].samples
@@ -313,25 +326,32 @@ def _inverting_pulse_table(args):
     return pulse_table(rising_exp_pulse(grid, p.kappa, p.omega_c))
 
 
-# Which oracle writes which table: name -> args -> (header, row template, columns).
+# Which oracle writes which table from which flags: name -> (args -> (header,
+# row template, columns), the flags of ``_FLAGS`` it reads).
 _ORACLE_TABLES = {
-    "two-level-g": _response_table(
-        lambda a, w: two_level_g(TwoLevelParams(a.kappa, a.omega_c), w)
+    "two-level-g": (
+        _response_table(lambda a, w: two_level_g(TwoLevelParams(a.kappa, a.omega_c), w)),
+        ("kappa", "omega_c", "omega"),
     ),
-    "two-channel-g": _two_channel_table,
-    "memory-g": _response_table(
-        lambda a, w: memory_g(a.n, TwoLevelParams(a.kappa, a.omega_c), w)
+    "two-channel-g": (_two_channel_table, ("kappa1", "kappa2", "omega_c", "omega")),
+    "memory-g": (
+        _response_table(lambda a, w: memory_g(a.n, TwoLevelParams(a.kappa, a.omega_c), w)),
+        ("n", "kappa", "omega_c", "omega"),
     ),
-    "memory-kernel": _memory_kernel_table,
-    "inverting-pulse": _inverting_pulse_table,
-    "feedback-g": _response_table(
-        lambda a, w: feedback_g(_scattering_from_args(a), a.kappa1, a.kappa2, a.omega_c, w)
+    "memory-kernel": (_memory_kernel_table, ("n", "kappa", "omega_c", "t")),
+    "inverting-pulse": (_inverting_pulse_table, ("kappa", "omega_c", "t_start", "dt", "log2_n")),
+    "feedback-g": (
+        _response_table(
+            lambda a, w: feedback_g(_scattering_from_args(a), a.kappa1, a.kappa2, a.omega_c, w)
+        ),
+        (("scattering", "s"), "kappa1", "kappa2", "omega_c", "omega"),
     ),
 }
 
 
 def _cmd_oracle(args) -> int:
-    write_table(args.output, *_ORACLE_TABLES[args.which](args))
+    table, _ = _ORACLE_TABLES[args.which]
+    write_table(args.output, *table(args))
     return 0
 
 
@@ -340,81 +360,101 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _flag(*names, **kwargs):
+    return names, kwargs
+
+
+#: Every option flag, declared once: dest -> (option strings, add_argument
+#: keywords).  Each command and each oracle attaches the flags it reads.
+_FLAGS = {
+    "tol": _flag(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help=f"condition tolerance, in [0, {TOL_CEILING:g}]",
+    ),
+    "cascade": _flag("--cascade", type=int, default=1, help="repeat the filter N times"),
+    "pulse": _flag(
+        "--pulse", default=next(iter(PULSE_KINDS)),
+        help=f"kind[:name=value,...] among {', '.join(PULSE_KINDS)}, "
+        "or csv:PATH for a sampled pulse, which brings its own grid",
+    ),
+    "channel": _flag("--channel", type=int, default=0, help="input channel for analytic pulses"),
+    "method": _flag("--method", choices=("fft", "ode", "both"), default="fft"),
+    "t_start": _flag("--t-start", type=float, help="first grid time"),
+    "dt": _flag("--dt", type=float, help="grid step"),
+    "log2_n": _flag(
+        "--log2-n", type=int,
+        help="log2 of the sample count, in [8, 22] (default 14 for shape, 12 for inverting-pulse)",
+    ),
+    "series": _flag(
+        "--series", nargs=2, metavar=("FIRST", "SECOND"),
+        help="compose two models in signal order (output of FIRST feeds SECOND)",
+    ),
+    "feedback": _flag("--feedback", metavar="MODEL", help="close channel 2 of a 2-channel model"),
+    "omega": _flag("--omega", default="-10:10:201", help="start:stop:count (rad/time)"),
+    "t": _flag("--t", default="0:20:201", help="start:stop:count"),
+    "kappa": _flag("--kappa", type=float, default=1.0),
+    "kappa1": _flag("--kappa1", type=float, default=1.0),
+    "kappa2": _flag("--kappa2", type=float, default=1.0),
+    "omega_c": _flag("--omega-c", type=float, default=0.0),
+    "n": _flag("--n", type=int, default=1, help="number of chained elements"),
+    "scattering": _flag(
+        "--scattering", choices=sorted(_SCATTERING_PRESETS), default="swap",
+        help="scattering matrix preset",
+    ),
+    "s": _flag(
+        "--s", type=float, nargs=8, metavar="X",
+        help="explicit 2x2 scattering matrix: re,im pairs row-major (8 numbers)",
+    ),
+    "output": _flag("-o", "--output", help="output path (default stdout; shape needs one)"),
+}
+
+
+def _add_flags(parser, *dests, required: bool = False) -> None:
+    """Attach the flags ``dests`` of ``_FLAGS`` to ``parser``.  A tuple of
+    dests is a group of which at most one may be given; ``required`` makes
+    each flag, or one flag of each group, required."""
+    for dest in dests:
+        if isinstance(dest, tuple):
+            _add_flags(parser.add_mutually_exclusive_group(required=required), *dest)
+        else:
+            names, kwargs = _FLAGS[dest]
+            parser.add_argument(*names, dest=dest, required=required, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="photon-slh",
         description="Single-photon pulse shaping through finite-level open quantum systems.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="check the linear-response conditions of a model")
     p_val.add_argument("model", help="model JSON file")
-    p_val.add_argument("--tol", type=float, default=DEFAULT_TOL, help="condition tolerance")
+    _add_flags(p_val, "tol")
     p_val.set_defaults(func=_cmd_validate)
 
     p_shape = sub.add_parser("shape", help="shape a pulse through a model's filter")
     p_shape.add_argument("model", help="model JSON file")
-    p_shape.add_argument("--cascade", type=int, default=1, help="repeat the filter N times")
-    p_shape.add_argument(
-        "--pulse",
-        default=next(iter(PULSE_KINDS)),
-        help=f"kind[:name=value,...] among {', '.join(PULSE_KINDS)}, "
-        "or csv:PATH for a sampled pulse, which brings its own grid",
-    )
-    p_shape.add_argument("--channel", type=int, default=0, help="input channel for analytic pulses")
-    p_shape.add_argument("--method", choices=("fft", "ode", "both"), default="fft")
-    p_shape.add_argument("--t-start", type=float, default=None, dest="t_start")
-    p_shape.add_argument("--dt", type=float, default=None)
-    p_shape.add_argument("--log2-n", type=int, default=None, dest="log2_n", help="default 14")
-    p_shape.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_shape.add_argument("-o", "--output", required=True, help="output pulse CSV path")
+    _add_flags(p_shape, "cascade", "pulse", "channel", "method", "t_start", "dt", "log2_n", "tol")
+    _add_flags(p_shape, "output", required=True)
     p_shape.set_defaults(func=_cmd_shape)
 
     p_comp = sub.add_parser("compose", help="series-compose models or close a feedback loop")
-    group = p_comp.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--series",
-        nargs=2,
-        metavar=("FIRST", "SECOND"),
-        help="compose two models in signal order (output of FIRST feeds SECOND)",
-    )
-    group.add_argument("--feedback", metavar="MODEL", help="close channel 2 of a 2-channel model")
-    p_comp.add_argument("-o", "--output", default=None, help="composed model JSON path (default stdout)")
+    _add_flags(p_comp, ("series", "feedback"), required=True)
+    _add_flags(p_comp, "output")
     p_comp.set_defaults(func=_cmd_compose)
 
     p_sweep = sub.add_parser("sweep", help="tabulate the frequency response of a model")
     p_sweep.add_argument("model", help="model JSON file")
-    p_sweep.add_argument("--omega", required=True, help="start:stop:count (rad/time)")
-    p_sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_sweep.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
+    _add_flags(p_sweep, "omega", required=True)
+    _add_flags(p_sweep, "tol", "output")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_or = sub.add_parser("oracle", help="evaluate a closed-form reference response")
-    p_or.add_argument("which", choices=tuple(_ORACLE_TABLES))
-    p_or.add_argument("--kappa", type=float, default=1.0)
-    p_or.add_argument("--kappa1", type=float, default=1.0)
-    p_or.add_argument("--kappa2", type=float, default=1.0)
-    p_or.add_argument("--omega-c", type=float, default=0.0, dest="omega_c")
-    p_or.add_argument("--n", type=int, default=1, help="number of chained elements")
-    p_or.add_argument("--omega", default="-10:10:201", help="start:stop:count")
-    p_or.add_argument("--t", default="0:20:201", help="start:stop:count (memory-kernel)")
-    p_or.add_argument("--t-start", type=float, default=None, dest="t_start")
-    p_or.add_argument("--dt", type=float, default=None)
-    p_or.add_argument("--log2-n", type=int, default=None, dest="log2_n", help="default 12")
-    p_or.add_argument(
-        "--scattering", choices=sorted(_SCATTERING_PRESETS), default="swap",
-        help="feedback-g scattering preset",
-    )
-    p_or.add_argument(
-        "--s",
-        type=float,
-        nargs=8,
-        default=None,
-        metavar="X",
-        help="explicit 2x2 scattering matrix: re,im pairs row-major (8 numbers)",
-    )
-    p_or.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
+    oracles = p_or.add_subparsers(dest="which", required=True)
+    for which, (_, flags) in _ORACLE_TABLES.items():
+        _add_flags(oracles.add_parser(which), *flags, "output")
     p_or.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -133,12 +133,17 @@ class Pulse:
         """Discrete L2 norm, ``sqrt(sum_k sum_t |xi_k|^2 dt)``."""
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.dt))
 
-    def energy_fraction_before(self, t_cut: float = 0.0) -> float:
-        """Fraction of total energy at times strictly before ``t_cut``."""
+    def energy_fraction_before(self) -> float:
+        """Fraction of total energy at times before ``t = 0``.
+
+        A sample within ``1e-9 dt`` of 0 is on the cut, not before it, as
+        for a jump on a grid point (:func:`_step_up`): rounding in
+        ``t_start + i dt`` does not move it across.
+        """
         total = float(np.sum(np.abs(self.samples) ** 2))
         if total == 0.0:
             return 0.0
-        mask = self.grid.times() < t_cut
+        mask = self.grid.times() < -1e-9 * self.grid.dt
         return float(np.sum(np.abs(self.samples[mask]) ** 2) / total)
 
 
@@ -226,27 +231,45 @@ def square_pulse(
     return _mono(grid, col.astype(complex), channels, channel)
 
 
-#: One row per analytic pulse kind: ``(builder, parameter names, defaults)``.
-#: ``defaults(grid, pole)`` gives every parameter a value matched to the grid
-#: and to the pole ``a`` of the filter the pulse is shaped through; the
-#: one-sided exponentials take the pole's rate, and ``rising_exp`` its
-#: resonance too, so that it is the matched, fully absorbed pulse.  The first
-#: row is the kind the command line shapes when none is named.
+def _lorentzian_out_of_band(dt: float, kappa: float, center: float) -> float:
+    """Fraction outside ``[-pi/dt, pi/dt)`` of the spectrum of a one-sided
+    exponential of energy rate ``kappa``, ``|X(w)|^2 = kappa / (kappa^2/4 +
+    (w - center)^2)``: one minus its arctan integral over the band, which is
+    even in ``center``."""
+    w = math.pi / dt
+    inside = math.atan(2.0 * (w - center) / kappa) + math.atan(2.0 * (w + center) / kappa)
+    return 1.0 - inside / math.pi
+
+
+#: One row per analytic pulse kind: ``(builder, parameter names, defaults,
+#: out_of_band)``.  ``defaults(grid, pole)`` gives every parameter a value
+#: matched to the grid and to the pole ``a`` of the filter the pulse is shaped
+#: through; the one-sided exponentials take the pole's rate, and
+#: ``rising_exp`` its resonance too, so that it is the matched, fully absorbed
+#: pulse.  ``out_of_band(dt, *params)`` is the energy fraction of the pulse's
+#: continuum spectrum outside ``[-pi/dt, pi/dt)``, which sampling at step
+#: ``dt`` aliases into the band: the Lorentzian of the exponentials (centred
+#: at ``rising_exp``'s carrier), the gaussian's erfc, and for the square the
+#: bound ``4 dt / (pi^2 (t1 - t0))`` from ``sin^2 <= 1`` in its sinc^2 tail.
+#: The first row is the kind the command line shapes when none is named.
 PULSE_KINDS = {
     "gaussian": (
         gaussian_pulse,
         ("t0", "sigma"),
         lambda grid, a: {"t0": grid.t_start + 0.25 * grid.span, "sigma": grid.span / 32.0},
+        lambda dt, t0, sigma: math.erfc(math.sqrt(2.0) * math.pi * sigma / dt),
     ),
     "decaying_exp": (
         decaying_exp_pulse,
         ("kappa", "t_on"),
         lambda grid, a: {"kappa": 2.0 * abs(a.real), "t_on": 0.0},
+        lambda dt, kappa, t_on: _lorentzian_out_of_band(dt, kappa, 0.0),
     ),
     "rising_exp": (
         rising_exp_pulse,
         ("kappa", "omega_c"),
         lambda grid, a: {"kappa": 2.0 * abs(a.real), "omega_c": -a.imag},
+        lambda dt, kappa, omega_c: _lorentzian_out_of_band(dt, kappa, omega_c),
     ),
     "square": (
         square_pulse,
@@ -255,6 +278,7 @@ PULSE_KINDS = {
             "t0": grid.t_start + 0.125 * grid.span,
             "t1": grid.t_start + 0.25 * grid.span,
         },
+        lambda dt, t0, t1: min(1.0, 4.0 * dt / (math.pi**2 * (t1 - t0))),
     ),
 }
 
@@ -271,7 +295,7 @@ class PulseSpec:
             raise ValueError(
                 f"unknown pulse kind '{self.kind}'; choose from {sorted(PULSE_KINDS)}"
             )
-        _, names, _ = PULSE_KINDS[self.kind]
+        _, names, _, _ = PULSE_KINDS[self.kind]
         unknown = set(self.params) - set(names)
         if unknown:
             raise ValueError(f"unknown parameters for {self.kind}: {sorted(unknown)}")
@@ -280,7 +304,7 @@ class PulseSpec:
                 raise ValueError(f"pulse parameter {name} must be finite, got {value}")
 
     def materialize(self, grid: TimeGrid, channels: int = 1, channel: int = 0) -> Pulse:
-        builder, names, _ = PULSE_KINDS[self.kind]
+        builder, names, _, _ = PULSE_KINDS[self.kind]
         missing = [n for n in names if n not in self.params]
         if missing:
             raise ValueError(f"pulse kind {self.kind} needs parameters {missing}")
@@ -289,8 +313,14 @@ class PulseSpec:
 
     def with_defaults(self, grid: TimeGrid, pole: complex) -> "PulseSpec":
         """This spec with each parameter it leaves out set by its kind's default rule."""
-        _, _, defaults = PULSE_KINDS[self.kind]
+        _, _, defaults, _ = PULSE_KINDS[self.kind]
         return PulseSpec(self.kind, {**defaults(grid, pole), **self.params})
+
+    def out_of_band_fraction(self, dt: float) -> float:
+        """Energy fraction of this pulse's continuum spectrum outside the band
+        ``[-pi/dt, pi/dt)`` of a grid of step ``dt``, by its kind's closed form."""
+        _, names, _, out_of_band = PULSE_KINDS[self.kind]
+        return out_of_band(dt, *(float(self.params[n]) for n in names))
 
 
 def parse_pulse_spec(text: str) -> PulseSpec:

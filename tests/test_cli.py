@@ -430,6 +430,32 @@ class TestShape:
         assert abs(json.loads(capsys.readouterr().out)["input_norm"] - 1.0) <= 0.05
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "omega_c, fraction", [(11.0, "0.994322"), (15.0, "0.99969"), (40.0, "0.999977")]
+    )
+    def test_carrier_past_nyquist_exits_1(self, tmp_path, capsys, omega_c, fraction):
+        # kappa = 0.01 and Q = 2 omega_c / kappa >= 2200: on the default 2^14 grid the
+        # matched pulse's carrier is past pi/dt and aliases, at a discrete norm of 1.
+        path = tmp_path / "atom.json"
+        save_model(two_level_model(0.01, omega_c), path)
+        out = tmp_path / "x.csv"
+        assert main(["shape", str(path), "--pulse", "rising_exp", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: rising_exp pulse has energy fraction {fraction} outside the grid's band "
+            "[-pi/dt, pi/dt), more than 0.05: the grid does not resolve it\n"
+        )
+        assert not out.exists()
+
+    def test_carrier_inside_band_shapes(self, tmp_path, capsys):
+        # Q = 2000: out-of-band fraction 2.3e-3, and the pulse is absorbed and re-emitted
+        path = tmp_path / "atom.json"
+        save_model(two_level_model(0.01, 10.0), path)
+        out = tmp_path / "x.csv"
+        assert main(["shape", str(path), "--pulse", "rising_exp", "-o", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["pre_zero_energy_fraction"] < 1e-6
+
     def test_unknown_pulse_kind(self, model_path, tmp_path):
         assert (
             main(["shape", str(model_path), "--pulse", "sinc", "-o", str(tmp_path / "x.csv")])
@@ -796,9 +822,89 @@ class TestOracleCommand:
         assert code == 4
 
 
+#: The flags each oracle reads, besides -o/--output.
+ORACLE_FLAGS = {
+    "two-level-g": {"--kappa", "--omega-c", "--omega"},
+    "two-channel-g": {"--kappa1", "--kappa2", "--omega-c", "--omega"},
+    "memory-g": {"--n", "--kappa", "--omega-c", "--omega"},
+    "memory-kernel": {"--n", "--kappa", "--omega-c", "--t"},
+    "inverting-pulse": {"--kappa", "--omega-c", "--t-start", "--dt", "--log2-n"},
+    "feedback-g": {"--scattering", "--s", "--kappa1", "--kappa2", "--omega-c", "--omega"},
+}
+
+#: A valid value of every oracle flag.
+ORACLE_FLAG_VALUES = {
+    "--kappa": ["2"],
+    "--kappa1": ["2"],
+    "--kappa2": ["2"],
+    "--omega-c": ["0.5"],
+    "--n": ["2"],
+    "--omega": ["0:1:2"],
+    "--t": ["0:1:2"],
+    "--t-start": ["-1"],
+    "--dt": ["0.25"],
+    "--log2-n": ["8"],
+    "--scattering": ["bs50"],
+    "--s": "0 0 1 0 1 0 0 0".split(),
+}
+
+
+class TestOracleFlags:
+    @pytest.mark.parametrize(
+        "which, flag",
+        [
+            (which, flag)
+            for which, read in ORACLE_FLAGS.items()
+            for flag in ORACLE_FLAG_VALUES
+            if flag not in read
+        ],
+    )
+    def test_unread_flag_exits_1(self, tmp_path, capsys, which, flag):
+        out = tmp_path / "table.csv"
+        argv = [flag, *ORACLE_FLAG_VALUES[flag]]
+        assert main(["oracle", which, *argv, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {' '.join(argv)}\n"
+        assert not out.exists()
+
+    def test_scattering_preset_and_matrix_exclude_each_other(self, capsys):
+        argv = ["oracle", "feedback-g", "--scattering", "bs50", "--s", *ORACLE_FLAG_VALUES["--s"]]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: argument --s: not allowed with argument --scattering\n"
+
+    def test_prefix_of_a_flag_is_refused(self, capsys):
+        # --t is memory-kernel's; in inverting-pulse it must not pass for --t-start
+        assert main(["oracle", "inverting-pulse", "--t", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --t 5\n"
+
+    @pytest.mark.parametrize("which", list(ORACLE_FLAGS))
+    def test_help_lists_exactly_the_flags_read(self, capsys, which):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", which, "--help"])
+        assert exc.value.code == 0
+        options = capsys.readouterr().out.partition("\noptions:\n")[2]
+        listed = {
+            alias.split()[0]
+            for line in options.splitlines()
+            if line.startswith("  -")
+            for alias in line.strip().split(", ")
+            if alias.startswith("-")
+        }
+        assert listed == ORACLE_FLAGS[which] | {"-h", "--help", "-o", "--output"}
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
+
+    def test_abbreviated_flag_is_refused(self, model_path, capsys):
+        assert main(["sweep", str(model_path), "--omega=0:1:2", "--to", "1e-9"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --to 1e-9\n"
 
     def test_missing_required_argument(self):
         assert main(["shape"]) == 1

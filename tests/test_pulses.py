@@ -184,6 +184,13 @@ class TestFactories:
         p = gaussian_pulse(offset_grid(48.0, log2_n=10), t0=t0, sigma=1.0)
         assert not np.any(p.samples)
 
+    def test_sample_at_zero_is_on_the_cut(self):
+        # The decaying pulse's edge sample (its midpoint value) is on the cut
+        # whether its time rounds to 0 or to -1e-13.
+        for t_start in (-5.12, -5.12 - 1e-13):
+            p = decaying_exp_pulse(TimeGrid(t_start, 0.01, 1024), 1.0)
+            assert p.energy_fraction_before() == 0.0
+
     def test_square_norm(self):
         grid = offset_grid(16.0, log2_n=10)
         p = square_pulse(grid, -4.0, 2.0)
@@ -198,6 +205,15 @@ class TestFactories:
     def test_channel_out_of_range(self):
         with pytest.raises(ValueError, match="channel"):
             gaussian_pulse(offset_grid(10.0, 8), 0.0, 1.0, channels=2, channel=2)
+
+
+def _outside_band(spec: PulseSpec, dt: float) -> float:
+    """Energy fraction of ``spec``'s spectrum outside ``[-pi/dt, pi/dt)``, by
+    quadrature on a grid 64 times finer than ``dt`` around t = 0."""
+    fine = TimeGrid(t_start=-2**10 * dt + dt / 128, dt=dt / 64, n=2**17)
+    w, x = fourier(spec.materialize(fine))
+    e = np.abs(x[:, 0]) ** 2
+    return float(np.sum(e[(w < -np.pi / dt) | (w >= np.pi / dt)]) / np.sum(e))
 
 
 class TestPulseSpec:
@@ -220,6 +236,29 @@ class TestPulseSpec:
     def test_missing_params(self):
         with pytest.raises(ValueError, match="needs parameters"):
             PulseSpec(kind="gaussian").materialize(offset_grid(10.0, 8))
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("gaussian", {"t0": 0.3, "sigma": 0.02}),
+            ("gaussian", {"t0": 0.3, "sigma": 0.04}),
+            ("decaying_exp", {"kappa": 10.0, "t_on": 0.0}),
+            ("decaying_exp", {"kappa": 2.0, "t_on": 0.0}),
+            ("rising_exp", {"kappa": 5.0, "omega_c": 0.9 * np.pi / 0.1}),
+            ("rising_exp", {"kappa": 5.0, "omega_c": -1.2 * np.pi / 0.1}),  # carrier past Nyquist
+        ],
+    )
+    def test_out_of_band_fraction_matches_spectrum(self, kind, params):
+        # What lies past the fine grid's own band (under 1e-3 here) is the slack.
+        spec = PulseSpec(kind, params)
+        assert spec.out_of_band_fraction(0.1) == pytest.approx(_outside_band(spec, 0.1), abs=1e-3)
+
+    @pytest.mark.parametrize("t1", [0.2, 1.0])
+    def test_square_out_of_band_fraction_is_a_bound(self, t1):
+        # sin^2 <= 1 in the sinc^2 tail: twice its mean, so the bound is about twice the truth
+        spec = PulseSpec("square", {"t0": -0.1, "t1": t1})
+        outside = _outside_band(spec, 0.1)
+        assert outside <= spec.out_of_band_fraction(0.1) <= 2.2 * outside
 
     def test_parse_round_trip(self):
         spec = parse_pulse_spec("rising_exp:kappa=2.0,omega_c=-1.5")
@@ -306,7 +345,7 @@ class TestShapeFft:
         grid = offset_grid(40.0 / kappa)
         p = rising_exp_pulse(grid, kappa, wc)
         out = shape_fft(p, f)
-        assert out.energy_fraction_before(0.0) < 1e-6
+        assert out.energy_fraction_before() < 1e-6
         t = grid.times()
         expected = np.where(
             t > 0.0, np.sqrt(kappa) * np.exp(-(0.5 * kappa + 1j * wc) * t), 0.0
