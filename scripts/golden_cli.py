@@ -188,6 +188,10 @@ def _commands():
                             "-o", "err_band_q3000.csv"]),
         ("shape_band_q2000", ["shape", "models/q2000.json", "--pulse", "rising_exp",
                               "-o", "band_q2000.csv"]),
+        # the kernel is causal; the model is loaded before --tol is checked
+        ("err_kernel_negative_t", ["oracle", "memory-kernel", "--t=-1:0:3"]),
+        ("err_missing_model_tol_nan", ["shape", "models/missing.json", "--tol", "nan",
+                                       "-o", "x.csv"]),
     ]
     return cmds
 

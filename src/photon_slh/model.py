@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, Operator, commutator, ground_state, zero
+from .operators import Operator, commutator, ground_state, zero
 
 __all__ = [
     "SLHModel",
@@ -60,8 +60,21 @@ __all__ = [
     "save_model",
 ]
 
+#: Default tolerance for the condition check; model data is specified
+#: exactly, so defects are rounding-level.
+DEFAULT_TOL = 1e-10
+
+#: Loosest condition tolerance.  Residuals are relative: near 1 they pass models
+#: that are no one-pole filter (a two-atom series chain has residual 0.377),
+#: while 1e-3 still passes model data rounded to a few digits.
+TOL_CEILING = 1e-3
+
 #: Structural tolerance for the type invariants (S unitary, H0 Hermitian).
 STRUCTURE_TOL = 1e-10
+
+#: A series product factors when its couplings' second singular value is at
+#: most this fraction of the first.
+FACTOR_TOL = 1e-12
 
 #: Loop is treated as singular when ``|1 - S22|`` falls below this.
 SINGULAR_LOOP_TOL = 1e-12
@@ -133,7 +146,7 @@ class SLHModel:
         return cls(S=S, theta=theta, L0=L0, H0=H0)
 
 
-def _factor_coupling(stacked: np.ndarray, dim: int, rtol: float = 1e-12):
+def _factor_coupling(stacked: np.ndarray, dim: int):
     """Write column ``k`` of the ``(dim**2, K)`` array ``stacked`` as
     ``theta_k * vec(L0)`` and return ``(theta, L0)``.
 
@@ -146,7 +159,7 @@ def _factor_coupling(stacked: np.ndarray, dim: int, rtol: float = 1e-12):
     if k == 1:
         return np.array([1.0 + 0.0j]), Operator(stacked.reshape(dim, dim))
     u, sing, _ = np.linalg.svd(stacked, full_matrices=False)
-    if sing[1] > rtol * sing[0]:
+    if sing[1] > FACTOR_TOL * sing[0]:
         raise ValueError(
             "series product does not factor as L_k = theta_k * L0: "
             "its channel couplings are not multiples of one operator"
@@ -251,8 +264,11 @@ def validate_model(m: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     Runs the five checks listed in the module docstring, in order, and
     never raises on a condition failure -- failures are reported.  The
     stability check is strict: ``Re(a) = 0`` fails with a distinct
-    "marginally stable" message.
+    "marginally stable" message.  Raises :class:`ValueError` for a ``tol``
+    outside ``[0, TOL_CEILING]``, NaN included.
     """
+    if not 0.0 <= tol <= TOL_CEILING:
+        raise ValueError(f"tol must lie in [0, {TOL_CEILING:g}], got {tol}")
     e0 = ground_state(m.levels)
     l0, h0 = m.L0, m.H0
     alpha, r_alpha = _fit(h0.mat @ e0, e0)

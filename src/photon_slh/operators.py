@@ -28,10 +28,6 @@ __all__ = [
     "embed_site",
 ]
 
-#: Default tolerance for the model condition check; model data is specified
-#: exactly, so defects are rounding-level.
-DEFAULT_TOL = 1e-10
-
 #: Largest total dimension allowed for Kronecker embeddings (6 qubits).
 TENSOR_DIM_CAP = 64
 
@@ -120,8 +116,7 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 
 def commutator(a: Operator, b: Operator) -> Operator:
     """``[A, B] = AB - BA``."""
-    if a.dim != b.dim:
-        raise ValueError(f"operator dimension mismatch: {a.dim} vs {b.dim}")
+    a._check_dim(b)
     return Operator(a.mat @ b.mat - b.mat @ a.mat)
 
 

@@ -59,6 +59,10 @@ TAIL_ENERGY_TOL = 1e-8
 #: Fixed-step stability/accuracy guard for the time-domain path.
 ODE_STEP_LIMIT = 0.1
 
+#: Largest discrete-norm defect, and largest continuum energy fraction outside
+#: the grid's band, of a pulse that :meth:`PulseSpec.materialize` accepts.
+PULSE_NORM_TOL = 0.05
+
 
 class GridSpanError(ValueError):
     """Time grid too short for the filter kernel to settle."""
@@ -134,21 +138,18 @@ class Pulse:
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.dt))
 
     def energy_fraction_before(self) -> float:
-        """Fraction of total energy at times before ``t = 0``.
-
-        A sample within ``1e-9 dt`` of 0 is on the cut, not before it, as
-        for a jump on a grid point (:func:`_step_up`): rounding in
-        ``t_start + i dt`` does not move it across.
-        """
+        """Fraction of total energy at times before ``t = 0``: where a unit step
+        at 0 is zero, so a sample :func:`_step_up` puts on the cut is not before it."""
         total = float(np.sum(np.abs(self.samples) ** 2))
         if total == 0.0:
             return 0.0
-        mask = self.grid.times() < -1e-9 * self.grid.dt
+        mask = _step_up(self.grid.times(), 0.0, self.grid.dt) == 0.0
         return float(np.sum(np.abs(self.samples[mask]) ** 2) / total)
 
 
 def _step_up(t: np.ndarray, edge: float, dt: float) -> np.ndarray:
-    """Unit step with midpoint value where the edge lands on a grid point."""
+    """Unit step with midpoint value where the edge lands on a grid point: within
+    ``1e-9 dt`` of it, so that rounding in ``t_start + i dt`` does not move it across."""
     s = np.where(t > edge, 1.0, 0.0)
     s[np.abs(t - edge) <= 1e-9 * dt] = 0.5
     return s
@@ -304,12 +305,29 @@ class PulseSpec:
                 raise ValueError(f"pulse parameter {name} must be finite, got {value}")
 
     def materialize(self, grid: TimeGrid, channels: int = 1, channel: int = 0) -> Pulse:
+        """Sample this pulse on ``grid``.  Raises :class:`ValueError` when the
+        grid does not hold it: the norm is off 1, or the spectrum aliases
+        (:meth:`out_of_band_fraction`), by more than :data:`PULSE_NORM_TOL`."""
         builder, names, _, _ = PULSE_KINDS[self.kind]
         missing = [n for n in names if n not in self.params]
         if missing:
             raise ValueError(f"pulse kind {self.kind} needs parameters {missing}")
         args = [float(self.params[n]) for n in names]
-        return builder(grid, *args, channels=channels, channel=channel)
+        pulse = builder(grid, *args, channels=channels, channel=channel)
+        norm = pulse.norm()
+        if not abs(norm - 1.0) <= PULSE_NORM_TOL:
+            raise ValueError(
+                f"{self.kind} pulse has discrete norm {norm:.6g} on this grid, "
+                f"off 1 by more than {PULSE_NORM_TOL}: the grid does not resolve it"
+            )
+        # The discrete norm cannot see a carrier past Nyquist: it aliases intact.
+        leak = self.out_of_band_fraction(grid.dt)
+        if not leak <= PULSE_NORM_TOL:
+            raise ValueError(
+                f"{self.kind} pulse has energy fraction {leak:.6g} outside the grid's band "
+                f"[-pi/dt, pi/dt), more than {PULSE_NORM_TOL}: the grid does not resolve it"
+            )
+        return pulse
 
     def with_defaults(self, grid: TimeGrid, pole: complex) -> "PulseSpec":
         """This spec with each parameter it leaves out set by its kind's default rule."""

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelValidationError, SLHModel, validate_model
-from .operators import DEFAULT_TOL
+from .model import DEFAULT_TOL, ModelValidationError, SLHModel, validate_model
 
 __all__ = [
     "FilterStage",
@@ -139,7 +138,8 @@ def from_model(m: SLHModel, tol: float = DEFAULT_TOL) -> PhotonTransfer:
     """Extract the single-stage filter of a model that passes the condition check.
 
     Raises :class:`ModelValidationError` (carrying the full report) when the
-    model does not satisfy the linear-response conditions.
+    model does not satisfy the linear-response conditions, and
+    :class:`ValueError` for a ``tol`` that :func:`validate_model` refuses.
     """
     report = validate_model(m, tol=tol)
     if not report.passed:

@@ -93,7 +93,7 @@ class TestValidate:
     def test_tolerance_must_be_finite_and_nonnegative(
         self, tmp_path, capsys, command, flag, value
     ):
-        # A two-atom chain is no one-pole filter (residual 0.377): a tolerance
+        # A two-atom chain is no one-pole filter (residual 0.5): a tolerance
         # above the ceiling would let shape accept it and write a wrong pulse.
         path = tmp_path / "chain.json"
         save_model(joint_memory_model(1.0, 0.5), path)
@@ -104,7 +104,7 @@ class TestValidate:
         assert main([command, str(path), *extra[command], f"{flag}={value}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {flag} must lie in [0, 0.001], got {float(value)}\n"
+        assert captured.err == f"error: tol must lie in [0, 0.001], got {float(value)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -908,3 +908,17 @@ class TestUsageErrors:
 
     def test_missing_required_argument(self):
         assert main(["shape"]) == 1
+
+    def test_successive_calls_share_no_state(self, model_path, capsys):
+        # main parses every call with one parser
+        assert main(["validate", str(model_path), "--bogus"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
+        assert main(["validate", str(model_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        r = "0.7071067811865476"
+        assert main(["oracle", "feedback-g", "--s", r, "0", "0", r, "0", r, r, "0"]) == 0
+        explicit = capsys.readouterr().out
+        assert main(["oracle", "feedback-g"]) == 0
+        default = capsys.readouterr().out
+        assert main(["oracle", "feedback-g", "--scattering", "swap"]) == 0
+        assert default == capsys.readouterr().out != explicit

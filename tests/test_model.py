@@ -226,6 +226,15 @@ class TestValidateModel:
         for name in ("ground_energy", "coupling_annihilates", "number_eigenrelation"):
             assert rep.conditions[name].holds
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12, 2e-3])
+    def test_tolerance_outside_range_refused(self, tol):
+        with pytest.raises(ValueError, match=r"^tol must lie in \[0, 0\.001\], got "):
+            validate_model(two_level_model(1.0, 0.3), tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    def test_tolerance_range_is_closed(self, tol):
+        assert validate_model(two_level_model(1.0, 0.3), tol).passed
+
     @settings(max_examples=150, deadline=None)
     @given(
         kind=st.sampled_from(["two-level", "embedded", "ladder", "random"]),

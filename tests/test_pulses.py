@@ -224,6 +224,28 @@ class TestPulseSpec:
         second = spec.materialize(grid)
         assert np.array_equal(first.samples, second.samples)
 
+    def test_materialize_refuses_a_carrier_past_the_band(self):
+        # The default shape grid of a two-level model with kappa = 0.01: span
+        # 24/|Re a| = 4800 over 2^14 samples, centred.  The matched pulse's carrier
+        # 11 lies past pi/dt = 10.7 and aliases, at a discrete norm of 1.
+        grid = TimeGrid(t_start=-2400.0, dt=4800.0 / 2**14, n=2**14)
+        spec = PulseSpec("rising_exp", {"kappa": 0.01, "omega_c": 11.0})
+        with pytest.raises(ValueError) as err:
+            spec.materialize(grid)
+        assert str(err.value) == (
+            "rising_exp pulse has energy fraction 0.994322 outside the grid's band "
+            "[-pi/dt, pi/dt), more than 0.05: the grid does not resolve it"
+        )
+
+    def test_materialize_refuses_a_pulse_off_the_grid(self):
+        spec = PulseSpec("gaussian", {"t0": 1e200, "sigma": 1.0})
+        with pytest.raises(ValueError) as err:
+            spec.materialize(offset_grid(48.0, 10))
+        assert str(err.value) == (
+            "gaussian pulse has discrete norm 0 on this grid, "
+            "off 1 by more than 0.05: the grid does not resolve it"
+        )
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown pulse kind"):
             PulseSpec(kind="triangle")

@@ -24,6 +24,7 @@ from conftest import (
     two_level_model,
     uncoupled_filter,
 )
+from test_model import joint_memory_model
 
 
 class TestFromModel:
@@ -53,6 +54,18 @@ class TestFromModel:
         with pytest.raises(ModelValidationError) as err:
             from_model(m)
         assert "stability" in err.value.report.failed_conditions()
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12, 2e-3, 1.0])
+    def test_tolerance_outside_range_refused(self, tol):
+        # At tol = 1 the two-atom chain (commutator residual 0.5) would
+        # pass as a one-pole filter.
+        chain = joint_memory_model(1.0, 0.5)
+        with pytest.raises(ValueError, match=r"^tol must lie in \[0, 0\.001\], got "):
+            from_model(chain, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    def test_tolerance_range_is_closed(self, tol):
+        assert len(from_model(two_level_model(1.0, 0.3), tol=tol).stages) == 1
 
     def test_two_channel_entries(self):
         k1, k2, wc = 1.0, 0.4, -0.9
