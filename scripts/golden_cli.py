@@ -10,10 +10,13 @@ output is relative.  It covers every subcommand: ``shape`` by fft, ode and
 both at K = 1 and 2 and cascade 1 and 3, a ``csv:`` read-back, explicit
 ``--dt``/``--t-start`` grids of ``shape`` and ``oracle inverting-pulse``,
 ``compose --series`` of two-level models at K = 1 and 2 and of two embedded
-sites, a matched pulse on either side of the grid's band, and the error
-exits, unread and conflicting oracle flags among them.  Per command it keeps ``OUT/<name>/exit``, ``stdout``, ``stderr`` and
-the files the command wrote.  A traceback is kept as its last line, since its
-file paths and line numbers name the tree, not the behaviour.
+sites, a matched pulse on either side of the grid's band, oracle tables
+whose values test the CSV writer's float text (exact halves, powers of ten,
+extreme and subnormal magnitudes, -0.0), and the error exits, unread and
+conflicting oracle flags among them.  Per command it keeps
+``OUT/<name>/exit``, ``stdout``, ``stderr`` and the files the command wrote.
+A traceback is kept as its last line, since its file paths and line numbers
+name the tree, not the behaviour.
 
 ``diff`` prints one line per command.  Exit codes, stderr, CSV headers, row
 counts, JSON keys and every non-numeric value must match exactly; for each
@@ -192,6 +195,14 @@ def _commands():
         ("err_kernel_negative_t", ["oracle", "memory-kernel", "--t=-1:0:3"]),
         ("err_missing_model_tol_nan", ["shape", "models/missing.json", "--tol", "nan",
                                        "-o", "x.csv"]),
+        # table text at the edges of the float formatting: exact halves at 17 digits
+        # (2^50 + j/4), a step of 0.1 through the powers of ten from 1e-1 to 1e2 with
+        # |g|^2 a few ulp from 1, magnitudes past 1e250 and a subnormal, and a kernel
+        # decaying through the subnormals to -0.0
+        ("oracle_ties", ["oracle", "two-level-g", "--omega=1125899906842624:1125899906842626:9"]),
+        ("oracle_decades", ["oracle", "two-level-g", "--omega=-100:100:2001"]),
+        ("oracle_extremes", ["oracle", "two-level-g", "--omega=-1e300:1e-320:5"]),
+        ("oracle_kernel_subnormal", ["oracle", "memory-kernel", "--n", "1", "--t=1400:1500:11"]),
     ]
     return cmds
 

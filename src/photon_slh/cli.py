@@ -229,7 +229,7 @@ def _cmd_sweep(args) -> int:
         z.imag,
         _abs2(z),
     )
-    write_table(args.output, "omega,i,j,re,im,abs2", "%.16e,%d,%d,%.16e,%.16e,%.16e\n", columns)
+    write_table(args.output, "omega,i,j,re,im,abs2", [columns])
     return 0
 
 
@@ -261,8 +261,7 @@ def _response_table(g):
     def table(args):
         omegas = _parse_range(args.omega, "omega")
         z = np.atleast_1d(g(args, omegas))
-        columns = (omegas, z.real, z.imag, _abs2(z))
-        return "omega,re,im,abs2", "%.16e,%.16e,%.16e,%.16e\n", columns
+        return "omega,re,im,abs2", [(omegas, z.real, z.imag, _abs2(z))]
 
     return table
 
@@ -271,17 +270,13 @@ def _two_channel_table(args):
     omegas = _parse_range(args.omega, "omega")
     g1, g2 = map(np.atleast_1d, two_channel_g(args.kappa1, args.kappa2, args.omega_c, omegas))
     columns = (omegas, g1.real, g1.imag, g2.real, g2.imag, _abs2(g1) + _abs2(g2))
-    return (
-        "omega,g1_re,g1_im,g2_re,g2_im,abs2_sum",
-        "%.16e,%.16e,%.16e,%.16e,%.16e,%.16e\n",
-        columns,
-    )
+    return "omega,g1_re,g1_im,g2_re,g2_im,abs2_sum", [columns]
 
 
 def _memory_kernel_table(args):
     ts = _parse_range(args.t, "t")
     z = np.atleast_1d(memory_kernel(args.n, TwoLevelParams(args.kappa, args.omega_c), ts))
-    return "t,re,im", "%.16e,%.16e,%.16e\n", (ts, z.real, z.imag)
+    return "t,re,im", [(ts, z.real, z.imag)]
 
 
 def _inverting_pulse_table(args):
@@ -291,7 +286,7 @@ def _inverting_pulse_table(args):
 
 
 # Which oracle writes which table from which flags: name -> (args -> (header,
-# row template, columns), the flags of ``_FLAGS`` it reads).
+# column blocks) for ``write_table``, the flags of ``_FLAGS`` it reads).
 _ORACLE_TABLES = {
     "two-level-g": (
         _response_table(lambda a, w: two_level_g(TwoLevelParams(a.kappa, a.omega_c), w)),

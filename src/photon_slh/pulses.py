@@ -308,12 +308,8 @@ class PulseSpec:
         """Sample this pulse on ``grid``.  Raises :class:`ValueError` when the
         grid does not hold it: the norm is off 1, or the spectrum aliases
         (:meth:`out_of_band_fraction`), by more than :data:`PULSE_NORM_TOL`."""
-        builder, names, _, _ = PULSE_KINDS[self.kind]
-        missing = [n for n in names if n not in self.params]
-        if missing:
-            raise ValueError(f"pulse kind {self.kind} needs parameters {missing}")
-        args = [float(self.params[n]) for n in names]
-        pulse = builder(grid, *args, channels=channels, channel=channel)
+        builder, _, _, _ = PULSE_KINDS[self.kind]
+        pulse = builder(grid, *self._values(), channels=channels, channel=channel)
         norm = pulse.norm()
         if not abs(norm - 1.0) <= PULSE_NORM_TOL:
             raise ValueError(
@@ -337,8 +333,16 @@ class PulseSpec:
     def out_of_band_fraction(self, dt: float) -> float:
         """Energy fraction of this pulse's continuum spectrum outside the band
         ``[-pi/dt, pi/dt)`` of a grid of step ``dt``, by its kind's closed form."""
-        _, names, _, out_of_band = PULSE_KINDS[self.kind]
-        return out_of_band(dt, *(float(self.params[n]) for n in names))
+        _, _, _, out_of_band = PULSE_KINDS[self.kind]
+        return out_of_band(dt, *self._values())
+
+    def _values(self) -> list:
+        """The parameters in the order of the kind's names; each must be given."""
+        _, names, _, _ = PULSE_KINDS[self.kind]
+        missing = [n for n in names if n not in self.params]
+        if missing:
+            raise ValueError(f"pulse kind {self.kind} needs parameters {missing}")
+        return [float(self.params[n]) for n in names]
 
 
 def parse_pulse_spec(text: str) -> PulseSpec:
@@ -446,41 +450,175 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
 
 
 # ---------------------------------------------------------------------------
-# CSV format: pulses as ``t,ch,re,im`` rows.  Values use fixed
-# 17-significant-digit scientific notation for reproducible diffs.
+# CSV format: pulses as ``t,ch,re,im`` rows.  A float is written as Python's
+# ``"%.16e" % x`` writes it, 17 significant digits correctly rounded with ties
+# to even, so files diff reproducibly and read back bit for bit; an integer as
+# ``"%d"``.
+#
+# Python forms those digits one value at a time in bignum arithmetic (Gay,
+# 1990), about a microsecond per value.  _e16_fields forms them for a whole
+# column in float arithmetic.  For |x| in [1e-250, 1e250] take
+# P = floor(log10 |x|) and y = |x| 10^(16-P): when 10^16 <= y < 10^17 the
+# digits are round(y), with exponent P, or P + 1 where rounding reaches 10^17.
+# 10^k is held as hi = RN(10^k) and lo = RN(10^k - hi), made from exact
+# Python integers, so |10^k - hi - lo| <= u^2 10^k with u = 2^-53.  Dekker's
+# product (Numer. Math. 18, 1971) splits |x| hi = p + e exactly; p >= 2^53 is
+# an integer, and t = RN(e + RN(|x| lo)) splits exactly into floor(t) and
+# f = t - floor(t), giving y ~ D + f with D = p + floor(t).  Its error is at
+# most u^2 y (the pair) + u^2 y (|x| lo) + 2 u^2 y (t, |t| <= 2 u y), under
+# 2^-47 for y < 2^57, so f rounds D as the exact fraction would unless
+# |f - 1/2| <= 2^-44.  Where 10^k is a float (lo = 0, k = 0..22) t = e and f
+# are exact, and a tie rounds D to even.  Zero is written directly.  Every
+# other value goes, one by one, to Python's own ``"%.16e"``: not finite,
+# subnormal or outside [1e-250, 1e250], a P that puts y outside
+# [10^16, 10^17) (log10 near a power of ten), or f inside the band.
 # ---------------------------------------------------------------------------
 
-#: Rows formatted per write by :func:`write_table`.  Whole-file joins cost
-#: memory in proportion to the table; blocks keep that cost fixed at no loss
-#: of speed.
+#: Rows formatted per write by :func:`write_table`.  A block is formatted as
+#: whole arrays, with a few hundred bytes of temporaries per row; blocks keep
+#: that memory fixed, whatever the length of the table, and at this size the
+#: cost per numpy call is already small against the work.
 TABLE_BLOCK_ROWS = 4096
 
+#: Magnitudes whose digits _e16_fields forms itself, and the half-width of the
+#: band around a half where it leaves the rounding to Python.
+_E16_RANGE = (1e-250, 1e250)
+_E16_BAND = 2.0**-44
 
-def write_table(path, header: str, row: str, columns) -> None:
-    r"""Write a CSV table to ``path``, or to standard output when ``path`` is None.
+#: 10^k as (hi, lo) for k = 16 - P, P = floor(log10 |x|) in [-251, 250], at
+#: index k - _K_MIN; a column is filled the first time its k is met.
+_K_MIN = 16 - 250
+_POW10 = np.full((2, 502), np.nan)
 
-    ``row`` is a ``%``-style template for one line, such as
-    ``"%.16e,%d,%.16e,%.16e\n"``, filled from the equal-length 1-D arrays in
-    ``columns``.
+#: Pieces of a field, whose NUL bytes are dropped on output: sign, lead digit
+#: and point as one 4-byte word (index lead + 10 if negative); "0000".."9999"
+#: as words; "e-251".."e+251" as 8-byte words.
+_HEAD = np.frombuffer(b"".join(b"%c%d.\0" % (s, d) for s in (0, 45) for d in range(10)), np.uint32)
+_DIGITS4 = np.ascontiguousarray(48 + np.indices((10,) * 4, np.uint8).reshape(4, -1).T)
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+_EXPONENTS = np.frombuffer(
+    b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in range(-251, 252)), np.uint64
+)
+
+
+def _split(v):
+    """Veltkamp's split of ``v`` into two halves of 26 bits."""
+    c = 134217729.0 * v
+    high = c - (c - v)
+    return high, v - high
+
+
+def _pow10_pair(k: int):
+    """``(RN(10^k), RN(10^k - RN(10^k)))``, from exact integers."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den  # int / int is correctly rounded
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
+def _e16_fields(x: np.ndarray) -> np.ndarray:
+    """``"%.16e" % v`` of each value of the float64 vector ``x``, as rows of
+    32 bytes padded with NULs (see the section comment)."""
+    a = np.abs(x)
+    fast = (a >= _E16_RANGE[0]) & (a <= _E16_RANGE[1])
+    a[~fast] = 1.0
+    p10 = np.floor(np.log10(a))
+    k = (16.0 - p10).astype(np.intp) - _K_MIN
+    hi, lo = _POW10.take(k, axis=1)
+    if np.isnan(hi).any():
+        for j in np.unique(k[np.isnan(hi)]).tolist():
+            _POW10[:, j] = _pow10_pair(j + _K_MIN)
+        hi, lo = _POW10.take(k, axis=1)
+    p = a * hi
+    a1, a2 = _split(a)
+    h1, h2 = _split(hi)
+    t = a1 * h1 - p + a1 * h2 + a2 * h1 + a2 * h2 + a * lo
+    floor_t = np.floor(t)
+    f = t - floor_t
+    fast &= (p >= 2.0**53) & (p < 2.0**57)
+    p[~fast] = 0.0
+    d = p.astype(np.int64) + floor_t.astype(np.int64)
+    fast &= (d >= 10**16) & (d < 10**17) & ((lo == 0.0) | (np.abs(f - 0.5) > _E16_BAND))
+    d += (f > 0.5) | ((f == 0.5) & (d & 1 == 1))
+    up = d == 10**17
+    d[up] = 10**16
+    e = p10.astype(np.intp) + up
+    d[~fast] = 0  # zero's digits; the other values left out are overwritten below
+    e[~fast] = 0
+    out = np.zeros((x.size, 32), np.uint8)
+    words = out.view(np.uint32)
+    lead = d // 10**16
+    d -= lead * 10**16
+    words[:, 0] = _HEAD.take(lead + 10 * np.signbit(x))
+    for i, scale in enumerate((10**12, 10**8, 10**4, 1)):
+        group = d // scale
+        d -= group * scale
+        words[:, 1 + i] = _DIGITS4.take(group)
+    out.view(np.uint64)[:, 3] = _EXPONENTS.take(e + 251)
+    slow = np.flatnonzero(~fast & (x != 0.0))
+    if slow.size:
+        text = np.array([b"%.16e" % v for v in x[slow].tolist()], dtype="S32")
+        out[slow] = text.view(np.uint8).reshape(slow.size, 32)
+    return out
+
+
+def _d_fields(column: np.ndarray) -> np.ndarray:
+    """``"%d" % v`` of each value of the integer vector ``column``, as
+    NUL-padded rows."""
+    values, index = np.unique(column, return_inverse=True)
+    text = np.array([b"%d" % v for v in values.tolist()])
+    return text.view(np.uint8).reshape(values.size, -1)[index]
+
+
+def _table_text(columns) -> str:
+    """The CSV lines of equal-length 1-D float and integer ``columns``."""
+    fields = []
+    for c in columns:
+        if c.dtype.kind == "f":
+            fields.append(_e16_fields(c.astype(np.float64, copy=False)))
+        elif c.dtype.kind in "iu":
+            fields.append(_d_fields(c))
+        else:
+            raise TypeError(f"table columns must hold floats or integers, not {c.dtype}")
+        fields.append(np.full((c.size, 1), ord(","), np.uint8))
+    fields[-1] = np.full((columns[0].size, 1), ord("\n"), np.uint8)
+    return np.concatenate(fields, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def write_table(path, header: str, blocks) -> None:
+    """Write a CSV table to ``path``, or to standard output when ``path`` is None.
+
+    ``blocks`` yields the table's rows in order, each block a sequence of
+    equal-length 1-D arrays, one per column.  A float column is written as
+    ``"%.16e"``, an integer one as ``"%d"``, byte for byte as Python's ``%``.
     """
-    cols = [np.asarray(c) for c in columns]
     with (
         contextlib.nullcontext(sys.stdout)
         if path is None
         else open(path, "w", encoding="utf-8", newline="")
     ) as fh:
         fh.write(header + "\n")
-        for start in range(0, cols[0].size, TABLE_BLOCK_ROWS):
-            block = zip(*(c[start : start + TABLE_BLOCK_ROWS].tolist() for c in cols))
-            fh.write("".join(row % values for values in block))
+        for block in blocks:
+            cols = [np.asarray(c) for c in block]
+            for start in range(0, cols[0].size, TABLE_BLOCK_ROWS):
+                fh.write(_table_text([c[start : start + TABLE_BLOCK_ROWS] for c in cols]))
 
 
 def pulse_table(p: Pulse):
-    """Header, row template and columns of the pulse CSV, for :func:`write_table`."""
-    k = p.channels
-    z = p.samples.reshape(-1)
-    columns = (np.repeat(p.grid.times(), k), np.tile(np.arange(k), p.grid.n), z.real, z.imag)
-    return "t,ch,re,im", "%.16e,%d,%.16e,%.16e\n", columns
+    """Header and column blocks of the pulse CSV, for :func:`write_table`.
+
+    Each block is made as it is written, so that no column of the whole table
+    is held; its times are ``t_start + dt * i`` as :meth:`TimeGrid.times` forms them."""
+    k, grid = p.channels, p.grid
+    step = max(1, TABLE_BLOCK_ROWS // k)
+
+    def blocks():
+        for start in range(0, grid.n, step):
+            z = p.samples[start : start + step].reshape(-1)
+            t = grid.t_start + grid.dt * np.arange(start, start + z.size // k)
+            yield np.repeat(t, k), np.tile(np.arange(k), t.size), z.real, z.imag
+
+    return "t,ch,re,im", blocks()
 
 
 def write_pulse_csv(p: Pulse, path) -> None:

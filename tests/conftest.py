@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from photon_slh import (
     Pulse,
     SLHModel,
     TimeGrid,
+    pulses,
     sigma_minus,
     sigma_z,
 )
@@ -92,3 +95,10 @@ BS50 = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def floats_by_python(monkeypatch):
+    """The CSV writer with its float arithmetic off: Python's own ``"%.16e"``
+    writes every value but zero."""
+    monkeypatch.setattr(pulses, "_E16_RANGE", (math.inf, -math.inf))

@@ -613,9 +613,66 @@ class TestSweep:
             f"{zero_},2,2,{zero_},{zero_},{zero_}\n"
         )
 
+    def test_table_text_by_python(self, tmp_path, capsys, floats_by_python):
+        # the same bytes where Python's own "%.16e" writes every nonzero float
+        self.test_table_text(tmp_path, capsys)
+
     def test_bad_range(self, model_path):
         assert main(["sweep", str(model_path), "--omega", "0:1"]) == 1
         assert main(["sweep", str(model_path), "--omega", "0:1:0"]) == 1
+
+
+# Oracle tables written in full: argv after 'oracle', then the exact text.
+ORACLE_TEXTS = [
+    pytest.param(
+        ["two-level-g", "--kappa", "1", "--omega=-0.5:0.5:3"],
+        "omega,re,im,abs2\n"
+        "-5.0000000000000000e-01,0.0000000000000000e+00,-1.0000000000000000e+00,"
+        "1.0000000000000000e+00\n"
+        "0.0000000000000000e+00,-1.0000000000000000e+00,0.0000000000000000e+00,"
+        "1.0000000000000000e+00\n"
+        "5.0000000000000000e-01,0.0000000000000000e+00,1.0000000000000000e+00,"
+        "1.0000000000000000e+00\n",
+        id="two-level-g",
+    ),
+    pytest.param(
+        ["two-channel-g", "--kappa1", "1", "--kappa2", "1", "--omega=0:0:1"],
+        "omega,g1_re,g1_im,g2_re,g2_im,abs2_sum\n"
+        "0.0000000000000000e+00,0.0000000000000000e+00,0.0000000000000000e+00,"
+        "1.0000000000000000e+00,0.0000000000000000e+00,1.0000000000000000e+00\n",
+        id="two-channel-g",
+    ),
+    pytest.param(
+        ["memory-g", "--n", "2", "--omega=0:0:1"],
+        "omega,re,im,abs2\n"
+        "0.0000000000000000e+00,1.0000000000000000e+00,-0.0000000000000000e+00,"
+        "1.0000000000000000e+00\n",
+        id="memory-g",
+    ),
+    pytest.param(
+        ["memory-kernel", "--n", "2", "--kappa", "1", "--t", "0:0:1"],
+        "t,re,im\n0.0000000000000000e+00,-2.0000000000000000e+00,0.0000000000000000e+00\n",
+        id="memory-kernel",
+    ),
+    pytest.param(
+        # the pulse is -1 at its midpoint-sampled edge t = 0 and zero after
+        ["inverting-pulse", "--kappa", "4", "--log2-n", "8", "--dt", "0.25",
+         "--t-start", "0"],
+        "t,ch,re,im\n0.0000000000000000e+00,0,-1.0000000000000000e+00,0.0000000000000000e+00\n"
+        + "".join(
+            f"{0.25 * i:.16e},0,-0.0000000000000000e+00,0.0000000000000000e+00\n"
+            for i in range(1, 256)
+        ),
+        id="inverting-pulse",
+    ),
+    pytest.param(
+        ["feedback-g", "--omega=0:0:1"],
+        "omega,re,im,abs2\n"
+        "0.0000000000000000e+00,-1.0000000000000000e+00,0.0000000000000000e+00,"
+        "1.0000000000000000e+00\n",
+        id="feedback-g",
+    ),
+]
 
 
 class TestOracleCommand:
@@ -730,56 +787,14 @@ class TestOracleCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "omega,re,im,abs2"
 
-    @pytest.mark.parametrize(
-        "argv, text",
-        [
-            (
-                ["two-level-g", "--kappa", "1", "--omega=-0.5:0.5:3"],
-                "omega,re,im,abs2\n"
-                "-5.0000000000000000e-01,0.0000000000000000e+00,-1.0000000000000000e+00,"
-                "1.0000000000000000e+00\n"
-                "0.0000000000000000e+00,-1.0000000000000000e+00,0.0000000000000000e+00,"
-                "1.0000000000000000e+00\n"
-                "5.0000000000000000e-01,0.0000000000000000e+00,1.0000000000000000e+00,"
-                "1.0000000000000000e+00\n",
-            ),
-            (
-                ["two-channel-g", "--kappa1", "1", "--kappa2", "1", "--omega=0:0:1"],
-                "omega,g1_re,g1_im,g2_re,g2_im,abs2_sum\n"
-                "0.0000000000000000e+00,0.0000000000000000e+00,0.0000000000000000e+00,"
-                "1.0000000000000000e+00,0.0000000000000000e+00,1.0000000000000000e+00\n",
-            ),
-            (
-                ["memory-g", "--n", "2", "--omega=0:0:1"],
-                "omega,re,im,abs2\n"
-                "0.0000000000000000e+00,1.0000000000000000e+00,-0.0000000000000000e+00,"
-                "1.0000000000000000e+00\n",
-            ),
-            (
-                ["memory-kernel", "--n", "2", "--kappa", "1", "--t", "0:0:1"],
-                "t,re,im\n0.0000000000000000e+00,-2.0000000000000000e+00,0.0000000000000000e+00\n",
-            ),
-            (
-                ["feedback-g", "--omega=0:0:1"],
-                "omega,re,im,abs2\n"
-                "0.0000000000000000e+00,-1.0000000000000000e+00,0.0000000000000000e+00,"
-                "1.0000000000000000e+00\n",
-            ),
-            (
-                # the pulse is -1 at its midpoint-sampled edge t = 0 and zero after
-                ["inverting-pulse", "--kappa", "4", "--log2-n", "8", "--dt", "0.25",
-                 "--t-start", "0"],
-                "t,ch,re,im\n0.0000000000000000e+00,0,-1.0000000000000000e+00,0.0000000000000000e+00\n"
-                + "".join(
-                    f"{0.25 * i:.16e},0,-0.0000000000000000e+00,0.0000000000000000e+00\n"
-                    for i in range(1, 256)
-                ),
-            ),
-        ],
-        ids=["two-level-g", "two-channel-g", "memory-g", "memory-kernel", "inverting-pulse",
-             "feedback-g"],
-    )
+    @pytest.mark.parametrize("argv, text", ORACLE_TEXTS)
     def test_table_text(self, capsys, argv, text):
+        assert main(["oracle", *argv]) == 0
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("argv, text", ORACLE_TEXTS)
+    def test_table_text_by_python(self, capsys, floats_by_python, argv, text):
+        # the same bytes where Python's own "%.16e" writes every nonzero float
         assert main(["oracle", *argv]) == 0
         assert capsys.readouterr().out == text
 

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import math
+import os
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from photon_slh import (
     square_pulse,
     write_pulse_csv,
 )
-from photon_slh.pulses import parse_pulse_spec
+from photon_slh.pulses import PULSE_KINDS, TABLE_BLOCK_ROWS, parse_pulse_spec, write_table
 from conftest import (
     BS50,
     SWAP,
@@ -258,6 +263,19 @@ class TestPulseSpec:
     def test_missing_params(self):
         with pytest.raises(ValueError, match="needs parameters"):
             PulseSpec(kind="gaussian").materialize(offset_grid(10.0, 8))
+
+    @pytest.mark.parametrize("kind", sorted(PULSE_KINDS))
+    @pytest.mark.parametrize("given", [0, 1])
+    def test_missing_params_refused_alike(self, kind, given):
+        # out_of_band_fraction once raised KeyError where materialize raised this
+        names = PULSE_KINDS[kind][1]
+        spec = PulseSpec(kind, {name: 1.0 for name in names[:given]})
+        message = f"pulse kind {kind} needs parameters {list(names[given:])}"
+        with pytest.raises(ValueError) as by_materialize:
+            spec.materialize(offset_grid(10.0, 8))
+        with pytest.raises(ValueError) as by_band:
+            spec.out_of_band_fraction(0.1)
+        assert str(by_materialize.value) == str(by_band.value) == message
 
     @pytest.mark.parametrize(
         "kind, params",
@@ -656,3 +674,107 @@ class TestCsvFormats:
             b"-5.0000000000000000e-01,0,0.0000000000000000e+00,0.0000000000000000e+00\n"
             b"-5.0000000000000000e-01,1,0.0000000000000000e+00,1.0000000000000000e+00\n"
         )
+
+    def test_pulse_table_text_by_python(self, tmp_path, floats_by_python):
+        # the same bytes where Python's own "%.16e" writes every nonzero float
+        self.test_pulse_table_text(tmp_path)
+
+
+def _written(*columns) -> str:
+    """What ``write_table`` prints for ``columns`` as one block."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_table(None, "h", [columns])
+    return out.getvalue()
+
+
+def _by_percent(*columns) -> str:
+    """The same table by Python's ``%``, one value at a time."""
+    formats = ["%d" if c.dtype.kind in "iu" else "%.16e" for c in columns]
+    rows = zip(*(c.tolist() for c in columns))
+    return "h\n" + "".join(",".join(f % v for f, v in zip(formats, row)) + "\n" for row in rows)
+
+
+def _exact_ties() -> list:
+    """Floats whose 17-digit rounding is an exact half, of both signs: with
+    y = x 10^k in [10^16, 10^17), x = m / 2^(k + 1) for odd m < 2^53."""
+    ties = []
+    for k in range(1, 23):
+        low = 2 ** (k + 1) * 10**16 // 10**k
+        high = min(2 ** (k + 1) * 10**17 // 10**k, 2**53)
+        for m in range(low + 1, high, (high - low) // 7 | 1)[:7]:
+            x = (m | 1) / 2 ** (k + 1)
+            if (Fraction(x) * 10**k).denominator == 2:
+                ties += [x, -x]
+    return ties
+
+
+def _decade_edges() -> list:
+    """Each power of ten as a float and its two neighbours, of both signs; some of
+    these floats lie below their power of ten but round up to it at 17 digits."""
+    edges = []
+    for e in range(-323, 309):
+        x = float(f"1e{e}")
+        edges += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+    return edges + [-x for x in edges]
+
+
+class TestTableText:
+    # write_table's float text against Python's "%.16e", value by value
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=200))
+    def test_any_float(self, values):
+        x = np.array(values, dtype=float)
+        assert _written(x, np.arange(x.size)) == _by_percent(x, np.arange(x.size))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.uint64, st.integers(1, 200)))
+    def test_any_bit_pattern(self, bits):
+        x = bits.view(np.float64)
+        assert _written(x, -x) == _by_percent(x, -x)
+
+    def test_exact_ties_round_half_even(self):
+        ties = np.array(_exact_ties())
+        assert ties.size >= 100
+        assert _written(ties) == _by_percent(ties)
+
+    def test_powers_of_ten_and_neighbours(self):
+        x = np.array(_decade_edges())
+        assert "1.0000000000000000e-14" in _by_percent(x)  # float 1e-14 < 10^-14
+        assert _written(x) == _by_percent(x)
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                      np.finfo(float).max, 1e-250, 1e250, 0.99999999999999999, 0.1, 1.0 / 3.0])
+        assert _written(x) == _by_percent(x)
+
+    def test_integer_columns(self, rng):
+        ints = rng.integers(-(2**63), 2**63 - 1, 500, endpoint=True)
+        small = np.repeat(np.arange(3, dtype=np.uint8), 4)
+        assert _written(ints) == _by_percent(ints)
+        assert _written(small) == _by_percent(small)
+
+    def test_blocks_follow_each_other(self, rng):
+        x = rng.normal(size=2 * TABLE_BLOCK_ROWS + 3)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            write_table(None, "h", [(x[:5],), (x[5:],)])
+        assert out.getvalue() == _by_percent(x)
+
+    def test_other_dtypes_refused(self):
+        with pytest.raises(TypeError, match="floats or integers"):
+            _written(np.array([1j]))
+
+    def test_pulse_csv_memory_is_bounded_by_blocks(self):
+        # The writer keeps one block's arrays at a time: no column of the whole table.
+        def peak(log2_n):
+            grid = TimeGrid(t_start=-1.0, dt=2.0 / 2**log2_n, n=2**log2_n)
+            p = Pulse(grid=grid, samples=np.full((grid.n, 2), 0.3 - 0.7j))
+            tracemalloc.start()
+            try:
+                write_pulse_csv(p, os.devnull)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(18) <= 1.25 * peak(14)
