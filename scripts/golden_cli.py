@@ -7,8 +7,9 @@
 list of commands, each as ``python -m photon_slh.cli`` with ``ROOT/src`` on
 ``PYTHONPATH`` and ``OUT`` as the working directory, so every path in the
 output is relative.  It covers every subcommand: ``shape`` by fft, ode and
-both at K = 1 and 2 and cascade 1 and 3, a ``csv:`` read-back, explicit
-``--dt``/``--t-start`` grids of ``shape`` and ``oracle inverting-pulse``,
+both at K = 1 and 2 and cascade 1 and 3, by ode and both on grids coarse
+against the pole, a ``csv:`` read-back, explicit ``--dt``/``--t-start``
+grids of ``shape`` and ``oracle inverting-pulse``,
 ``compose --series`` of two-level models at K = 1 and 2 and of two embedded
 sites, a matched pulse on either side of the grid's band, oracle tables
 whose values test the CSV writer's float text (exact halves, powers of ten,
@@ -114,6 +115,11 @@ def _commands():
         ("compose_series_k2", ["compose", "--series", "models/k2.json", "models/k2_swap.json"]),
         ("compose_series_sites", ["compose", "--series", "models/site0.json", "models/site1.json",
                                   "-o", "chain.json"]),
+        # steps of |a| dt = 0.94 and 2.93, which the exact step takes as they come
+        ("shape_k1_coarse_ode", ["shape", "models/k1.json", "--dt", "1", "--method", "ode",
+                                 "-o", "coarse_ode.csv"]),
+        ("shape_q2000_both", ["shape", "models/q2000.json", "--method", "both",
+                              "-o", "q2000_both.csv"]),
         # exp once overflowed on the zero side of these pulses' jump
         ("shape_k1_steep_rising", ["shape", "models/k1.json", "--pulse", "rising_exp:kappa=60",
                                    "-o", "steep_rising.csv"]),
@@ -130,8 +136,6 @@ def _commands():
         ("err_sweep_unstable", ["sweep", "models/unstable.json", "--omega", "0:1:2"]),
         ("err_short_grid", ["shape", "models/k1.json", "--dt", "0.001", "--log2-n", "8",
                             "-o", "err_short_grid.csv"]),
-        ("err_coarse_ode", ["shape", "models/k1.json", "--dt", "1", "--method", "ode",
-                            "-o", "err_coarse_ode.csv"]),
         ("err_cascade_0", ["shape", "models/k1.json", "--cascade", "0", "-o", "err_c0.csv"]),
         ("err_pulse_nan", ["shape", "models/k1.json", "--pulse", "gaussian:t0=nan",
                            "-o", "err_nan.csv"]),

@@ -15,12 +15,11 @@ Two independent shaping paths are provided:
   linear, so applying ``S`` apart in the time domain would change only
   rounding;
 * :func:`shape_ode` integrates, per stage, the scalar state
-  ``eta' = a eta + drive . xi`` (``drive = h theta^dag S``) by classical
-  fixed-step RK4 (input linear between samples) and forms
-  ``xi_out = S xi + theta eta``.  A step is linear in ``eta[m]``, ``xi[m]``
-  and ``xi[m+1]``: the recurrence ``eta[m+1] = r eta[m] + drive . (c0 xi[m]
-  + c1 xi[m+1])`` with scalars fixed by ``a dt``, solved for all samples at
-  once by a log-depth doubling scan.
+  ``eta' = a eta + drive . xi`` (``drive = h theta^dag S``), exactly for an
+  input linear between samples, and forms ``xi_out = S xi + theta eta``.  A
+  step is the recurrence ``eta[m+1] = r eta[m] + drive . (c0 xi[m] + c1
+  xi[m+1])`` with scalars fixed by ``a dt``, solved for all samples at once
+  by a log-depth doubling scan.
 
 They approximate the same continuum result and serve as cross-oracles.
 """
@@ -55,9 +54,6 @@ __all__ = [
 #: Kernel tail energy allowed beyond half the grid span before shaping
 #: refuses the grid (controls circular-convolution aliasing).
 TAIL_ENERGY_TOL = 1e-8
-
-#: Fixed-step stability/accuracy guard for the time-domain path.
-ODE_STEP_LIMIT = 0.1
 
 #: Largest discrete-norm defect, and largest continuum energy fraction outside
 #: the grid's band, of a pulse that :meth:`PulseSpec.materialize` accepts.
@@ -399,15 +395,17 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
     """Shape a pulse through the filter by time-domain integration.
 
     Independent oracle for :func:`shape_fft`: every stage integrates its one
-    scalar state ``eta' = a eta + drive . xi`` from rest with classical
-    fourth-order fixed-step stepping (linear interpolation of the input
-    between samples) and emits ``S xi + theta eta``.  The four RK4 stages are
-    linear in ``eta[m]``, ``xi[m]`` and ``xi[m+1]``; expanded, a step is exactly
-    ``eta[m+1] = r eta[m] + drive . (c0 xi[m] + c1 xi[m+1])`` with ``z = a dt``,
-    ``r = 1 + q``, ``q = z + z^2/2 + z^3/6 + z^4/24``,
-    ``c0 = dt (6 + 4z + 3z^2/2 + z^3/2) / 12`` and
-    ``c1 = dt (6 + 2z + z^2/2) / 12`` (both ``dt/2``, the trapezoid rule,
-    as ``z -> 0``).
+    scalar state ``eta' = a eta + drive . xi`` from rest, with the input linear
+    between samples, and emits ``S xi + theta eta``.  The step is exact at any
+    ``z = a dt``, the first-order-hold exponential integrator (Hochbruck &
+    Ostermann, Acta Numerica 19, 2010; Cox & Matthews, J. Comput. Phys. 176,
+    2002): ``eta[m+1] = r eta[m] + drive . (c0 xi[m] + c1 xi[m+1])`` with
+    ``r = e^z``, ``c0 = dt (phi1 - phi2)``, ``c1 = dt phi2``, ``phi1 = (e^z -
+    1)/z`` and ``phi2 = (e^z - 1 - z)/z^2``.  Where these cancel, below
+    ``|z| = 0.5``, ``phi2`` is its Taylor series (18 terms), ``q = r - 1 =
+    z (1 + z phi2)`` and ``c0 = dt (1 + (z - 1) phi2)``; above, ``q =
+    expm1(z)``, and ``c0`` and ``c1`` divide by ``z`` twice, so that ``z^2``
+    cannot overflow.
 
     Each stage solves the recurrence from ``eta[0] = 0`` by a doubling scan
     (Kogge & Stone 1973; Blelloch 1990): starting from the inputs
@@ -424,15 +422,16 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
     x = p.samples
     dt = p.grid.dt
     for st in f.stages:
-        if abs(st.a) * dt > ODE_STEP_LIMIT:
-            raise ValueError(
-                f"time step too coarse for the stage pole: |a| dt = {abs(st.a) * dt:.3g} "
-                f"> {ODE_STEP_LIMIT}; use a finer grid"
-            )
         z = st.a * dt
-        q = z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-        c0 = dt * (6.0 + 4.0 * z + 1.5 * z**2 + 0.5 * z**3) / 12.0
-        c1 = dt * (6.0 + 2.0 * z + 0.5 * z**2) / 12.0
+        if abs(z) < 0.5:
+            phi2 = sum(z**k / math.factorial(k + 2) for k in range(18))
+            q = z * (1.0 + z * phi2)
+            c0 = dt * (1.0 + (z - 1.0) * phi2)
+        else:
+            q = complex(np.expm1(z))
+            phi2 = (q - z) / z / z
+            c0 = dt * (1.0 + (q + 1.0) * (z - 1.0)) / z / z
+        c1 = dt * phi2
         eta = np.zeros(x.shape[0], dtype=complex)
         b = eta[1:]  # b[m] becomes eta[m + 1]
         tmp = np.empty_like(b)

@@ -456,6 +456,15 @@ class TestShape:
         assert main(["shape", str(path), "--pulse", "rising_exp", "-o", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["pre_zero_energy_fraction"] < 1e-6
 
+    def test_coarse_step_shapes_both_ways(self, tmp_path):
+        # kappa = 0.01, omega_c = 10: |a| dt = 2.93 on the default grid, one step per
+        # third of a carrier period; the exact step still agrees with the FFT
+        path = tmp_path / "atom.json"
+        save_model(two_level_model(0.01, 10.0), path)
+        out = tmp_path / "x.csv"
+        assert main(["shape", str(path), "--method", "both", "-o", str(out)]) == 0
+        assert json.loads((tmp_path / "x.csv.json").read_text())["l2_discrepancy"] <= 1e-8
+
     def test_unknown_pulse_kind(self, model_path, tmp_path):
         assert (
             main(["shape", str(model_path), "--pulse", "sinc", "-o", str(tmp_path / "x.csv")])
