@@ -14,7 +14,8 @@ grids of ``shape`` and ``oracle inverting-pulse``,
 sites, a matched pulse on either side of the grid's band, oracle tables
 whose values test the CSV writer's float text (exact halves, powers of ten,
 extreme and subnormal magnitudes, -0.0), and the error exits, unread and
-conflicting oracle flags among them.  Per command it keeps
+conflicting oracle flags, malformed pulse parameters and over-long ranges among
+them.  Per command it keeps
 ``OUT/<name>/exit``, ``stdout``, ``stderr`` and the files the command wrote.
 A traceback is kept as its last line, since its file paths and line numbers
 name the tree, not the behaviour.
@@ -207,6 +208,15 @@ def _commands():
         ("oracle_decades", ["oracle", "two-level-g", "--omega=-100:100:2001"]),
         ("oracle_extremes", ["oracle", "two-level-g", "--omega=-1e300:1e-320:5"]),
         ("oracle_kernel_subnormal", ["oracle", "memory-kernel", "--n", "1", "--t=1400:1500:11"]),
+        # a pulse parameter given twice or not a number, and ranges one point past the
+        # 2^22 cap (each also fails later, so that no tree writes 2^22 rows)
+        ("err_pulse_repeated", ["shape", "models/k1.json", "--pulse", "gaussian:sigma=1,sigma=2",
+                                "-o", "err_repeated.csv"]),
+        ("err_pulse_not_a_number", ["shape", "models/k1.json", "--pulse", "gaussian:sigma=abc",
+                                    "-o", "err_not_a_number.csv"]),
+        ("err_range_over_cap_t", ["oracle", "memory-kernel", "--t=-1:0:4194305"]),
+        ("err_range_over_cap_omega", ["oracle", "two-level-g", "--kappa", "0",
+                                      "--omega=0:1:4194305"]),
     ]
     return cmds
 

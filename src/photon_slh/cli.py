@@ -54,6 +54,10 @@ from .pulses import (
 from .transfer import PhotonTransfer, from_model
 
 
+#: Largest log2 of a sample count: of a ``--log2-n`` grid, and of a start:stop:count range.
+MAX_LOG2_N = 22
+
+
 class CLIError(ValueError):
     """A usage or input error; ``main`` reports it like any ValueError (exit 1)."""
 
@@ -77,6 +81,8 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         raise CLIError(f"--{name} must look like start:stop:count, got {text!r}") from exc
     if count < 1:
         raise CLIError(f"--{name} needs at least one point")
+    if count > 2**MAX_LOG2_N:
+        raise CLIError(f"--{name} allows at most {2**MAX_LOG2_N} points, got {count}")
     if not (np.isfinite(start) and np.isfinite(stop)):
         raise CLIError(f"--{name} range must be finite")
     return np.linspace(start, stop, count)
@@ -123,8 +129,8 @@ def _grid(args, default_span: float, lead: float, default_log2_n: int) -> TimeGr
     ``--log2-n`` is given: ``dt = default_span / n`` unless ``--dt`` is given,
     and ``t_start = -lead n dt`` unless ``--t-start`` is given."""
     log2_n = default_log2_n if args.log2_n is None else args.log2_n
-    if not 8 <= log2_n <= 22:
-        raise CLIError(f"--log2-n must be in [8, 22], got {log2_n}")
+    if not 8 <= log2_n <= MAX_LOG2_N:
+        raise CLIError(f"--log2-n must be in [8, {MAX_LOG2_N}], got {log2_n}")
     n = 2**log2_n
     dt = default_span / n if args.dt is None else args.dt
     t_start = -lead * n * dt if args.t_start is None else args.t_start
@@ -342,7 +348,8 @@ _FLAGS = {
     "dt": _flag("--dt", type=float, help="grid step"),
     "log2_n": _flag(
         "--log2-n", type=int,
-        help="log2 of the sample count, in [8, 22] (default 14 for shape, 12 for inverting-pulse)",
+        help=f"log2 of the sample count, in [8, {MAX_LOG2_N}] "
+        "(default 14 for shape, 12 for inverting-pulse)",
     ),
     "series": _flag(
         "--series", nargs=2, metavar=("FIRST", "SECOND"),

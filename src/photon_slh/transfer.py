@@ -1,10 +1,12 @@
 """Linear single-photon transfer filters.
 
 A validated model acts on a single-photon pulse as a cascade of one-pole
-stages.  A stage ``(S, theta, h, a)`` adds to its feedthrough ``S`` a rank-one
-term built from the row ``drive = h theta^dag S``,
+stages.  A stage ``(S, theta, a)`` adds to its unitary feedthrough ``S`` a
+rank-one term built from the row ``drive = h theta^dag S``, with ``h = 2
+Re(a)/|theta|^2`` derived so that every stage is all-pass (lossless),
 
-    G(i w) = S + theta drive / (i w - a),
+    G(i w) = S + theta drive / (i w - a)
+           = (I + 2 Re(a) theta theta^dag / (|theta|^2 (i w - a))) S,
 
 so its impulse response is ``S delta(t) + theta drive exp(a t)`` for
 ``t >= 0``, one scalar state per stage.  ``PhotonTransfer(stages=f1.stages +
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_TOL, ModelValidationError, SLHModel, validate_model
+from .model import DEFAULT_TOL, ModelValidationError, SLHModel, require_unitary, validate_model
 
 __all__ = [
     "FilterStage",
@@ -53,12 +55,12 @@ def _exp_integral(a: complex) -> complex:
 class FilterStage:
     """One pole of the filter: feedthrough ``S`` plus ``theta drive e^{at}``.
 
-    ``drive = h theta^dag S`` is the row that feeds the stage's scalar state.
+    ``S`` is unitary, ``theta`` nonzero, ``Re(a) < 0``; ``h = 2 Re(a)/|theta|^2`` and the row
+    ``drive = h theta^dag S`` feeding the scalar state are derived and read-only: all-pass.
     """
 
     S: np.ndarray
     theta: np.ndarray
-    h: float
     a: complex
 
     def __post_init__(self) -> None:
@@ -68,13 +70,19 @@ class FilterStage:
             raise ValueError(f"stage S must be square, got shape {s.shape}")
         if th.shape[0] != s.shape[0]:
             raise ValueError("stage theta length must match the channel count")
-        for name, value in (("S", s), ("theta", th), ("h", float(self.h)), ("a", complex(self.a))):
+        for name, value in (("S", s), ("theta", th), ("a", complex(self.a))):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"stage {name} must be finite")
             object.__setattr__(self, name, value)
+        require_unitary(s)
         if not self.a.real < 0.0:
             raise ValueError(f"stage pole must have Re(a) < 0, got {self.a}")
-        object.__setattr__(self, "drive", self.h * th.conj().dot(s))
+        weight = float(np.sum(np.abs(th) ** 2))  # as validate_model forms it
+        h = 2.0 * self.a.real / weight if weight > 0.0 else 0.0
+        if not -np.inf < h < 0.0:
+            raise ValueError(f"stage theta must be nonzero, with h finite: |theta|^2 = {weight:g}")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "drive", h * th.conj().dot(s))
         for arr in (s, th, self.drive):
             arr.setflags(write=False)
         self._self_test()
@@ -144,7 +152,4 @@ def from_model(m: SLHModel, tol: float = DEFAULT_TOL) -> PhotonTransfer:
     report = validate_model(m, tol=tol)
     if not report.passed:
         raise ModelValidationError(report)
-    p = report.params
-    return PhotonTransfer(
-        stages=(FilterStage(S=m.S, theta=m.theta, h=p.h, a=p.a),)
-    )
+    return PhotonTransfer(stages=(FilterStage(S=m.S, theta=m.theta, a=report.params.a),))

@@ -82,12 +82,6 @@ def dense_response(f: PhotonTransfer, omegas) -> np.ndarray:
     return total
 
 
-def uncoupled_filter(channels: int) -> PhotonTransfer:
-    """One stage with no coupling, so ``G(i w) = I`` whatever its (stable) pole."""
-    stage = FilterStage(S=np.eye(channels), theta=np.zeros(channels), h=0.0, a=-1.0)
-    return PhotonTransfer(stages=(stage,))
-
-
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 BS50 = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 

@@ -16,6 +16,7 @@ from photon_slh import (
     write_pulse_csv,
     zero,
 )
+from photon_slh import cli
 from photon_slh.cli import main
 from photon_slh.pulses import PULSE_KINDS, TimeGrid, gaussian_pulse, read_pulse_csv
 from conftest import BS50, SWAP, two_channel_model, two_level_model
@@ -380,6 +381,23 @@ class TestShape:
         assert captured.err == f"error: pulse parameter {name} must be finite, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "pulse, message",
+        [
+            ("gaussian:sigma=1,sigma=2", "pulse parameter sigma is given twice"),
+            ("square:t0=0, t0 =1,t1=2", "pulse parameter t0 is given twice"),
+            ("gaussian:sigma=abc", "pulse parameter sigma must be a number, got 'abc'"),
+            ("rising_exp:kappa=", "pulse parameter kappa must be a number, got ''"),
+        ],
+        ids=["repeated", "repeated-spaced", "not-a-number", "empty"],
+    )
+    def test_bad_pulse_parameter_exits_1(self, model_path, tmp_path, capsys, pulse, message):
+        out = tmp_path / "x.csv"
+        assert main(["shape", str(model_path), "--pulse", pulse, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_rising_phase_overflow_exits_1(self, model_path, tmp_path, capsys):
         out = tmp_path / "x.csv"
         argv = ["shape", str(model_path), "--pulse", "rising_exp:omega_c=1e308", "-o", str(out)]
@@ -629,6 +647,38 @@ class TestSweep:
     def test_bad_range(self, model_path):
         assert main(["sweep", str(model_path), "--omega", "0:1"]) == 1
         assert main(["sweep", str(model_path), "--omega", "0:1:0"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "MODEL", "--omega", "0:1:1000000000"],
+            ["oracle", "two-level-g", "--omega", "0:1:4194305"],
+            ["oracle", "memory-kernel", "--t", "0:1:1000000000"],
+        ],
+        ids=["sweep", "two-level-g", "memory-kernel"],
+    )
+    def test_point_count_over_cap_exits_1(self, model_path, monkeypatch, capsys, argv):
+        # the refusal comes before any array of that size is asked for
+        linspace = np.linspace
+
+        def bounded_linspace(start, stop, num):
+            assert num <= 2**22
+            return linspace(start, stop, num)
+
+        monkeypatch.setattr(np, "linspace", bounded_linspace)
+        argv = [str(model_path) if a == "MODEL" else a for a in argv]
+        assert main(argv) == 1
+        count = argv[-1].rpartition(":")[2]
+        flag = argv[-2]
+        assert capsys.readouterr().err == (
+            f"error: {flag} allows at most 4194304 points, got {count}\n"
+        )
+
+    def test_point_count_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", lambda start, stop, num: num)
+        assert cli._parse_range("0:1:4194304", "omega") == 2**22
+        with pytest.raises(ValueError, match="at most 4194304 points, got 4194305$"):
+            cli._parse_range("0:1:4194305", "omega")
 
 
 # Oracle tables written in full: argv after 'oracle', then the exact text.

@@ -8,13 +8,18 @@ from photon_slh import (
     ModelValidationError,
     PhotonTransfer,
     Pulse,
+    SLHModel,
     TimeGrid,
     TwoLevelParams,
     from_model,
     memory_g,
     shape_fft,
+    shape_ode,
+    sigma_minus,
+    sigma_z,
     two_channel_g,
     two_level_g,
+    validate_model,
 )
 from conftest import (
     dense_kernel,
@@ -22,7 +27,6 @@ from conftest import (
     haar_unitary,
     two_channel_model,
     two_level_model,
-    uncoupled_filter,
 )
 from test_model import joint_memory_model
 
@@ -34,7 +38,7 @@ class TestFromModel:
         (st,) = f.stages
         assert st.S[0, 0] == 1.0
         assert st.theta[0] == pytest.approx(np.sqrt(kappa))
-        assert st.h == pytest.approx(-1.0)
+        assert st.h == -1.0
         assert st.a == pytest.approx(complex(-kappa / 2.0, -wc))
         ws = np.linspace(-25, 25, 401)
         got = f.response_matrix(ws)[:, 0, 0]
@@ -77,24 +81,40 @@ class TestFromModel:
         # reflection matrix element carries the minus sign
         assert np.max(np.abs(got[:, 1, 0] + g2)) < 1e-14
 
-    def test_identity_filter_is_flat(self):
-        f = uncoupled_filter(2)
-        g = f.response_matrix(np.linspace(-5, 5, 11))
-        assert np.max(np.abs(g - np.eye(2))) == 0.0
-
 
 class TestStage:
     def test_unstable_pole_rejected(self):
-        with pytest.raises(ValueError, match="Re"):
-            FilterStage(S=np.array([[1.0]]), theta=np.array([1.0]), h=-1.0, a=0.5)
+        with pytest.raises(ValueError, match=r"^stage pole must have Re\(a\) < 0, got "):
+            FilterStage(S=np.array([[1.0]]), theta=np.array([1.0]), a=0.5)
 
     def test_marginal_pole_rejected(self):
-        with pytest.raises(ValueError, match="Re"):
-            FilterStage(S=np.array([[1.0]]), theta=np.array([1.0]), h=-1.0, a=0.0)
+        with pytest.raises(ValueError, match=r"^stage pole must have Re\(a\) < 0, got "):
+            FilterStage(S=np.array([[1.0]]), theta=np.array([1.0]), a=complex(0.0, 3.0))
 
     def test_channel_shape_checked(self):
         with pytest.raises(ValueError, match="theta"):
-            FilterStage(S=np.eye(2), theta=np.array([1.0]), h=-1.0, a=-1.0)
+            FilterStage(S=np.eye(2), theta=np.array([1.0]), a=-1.0)
+
+    @pytest.mark.parametrize(
+        "S", [[[0.5]], [[1.0, 1e-9], [0.0, 1.0]], 2.0 * np.eye(3), [[0.0, 0.0], [0.0, 0.0]]]
+    )
+    def test_non_unitary_scattering_rejected(self, S):
+        with pytest.raises(ValueError, match=r"^S is not unitary \(defect "):
+            FilterStage(S=S, theta=np.ones(len(S)), a=-1.0)
+
+    @pytest.mark.parametrize(
+        "theta, weight",
+        # 1e-170 squares to 0; 1e-155 to 1e-310, and 2 Re(a)/1e-310 overflows
+        [([0.0], "0"), ([0.0, 0.0j], "0"), ([1e-170, 0.0], "0"), ([1e-155], "1e-310")],
+    )
+    def test_uncoupled_stage_rejected(self, theta, weight):
+        message = rf"^stage theta must be nonzero, with h finite: \|theta\|\^2 = {weight}$"
+        with pytest.raises(ValueError, match=message):
+            FilterStage(S=np.eye(len(theta)), theta=theta, a=-1.0)
+
+    def test_takes_no_coupling(self):
+        with pytest.raises(TypeError, match="h"):
+            FilterStage(S=[[1.0]], theta=[1.0], h=-2.0, a=-1.0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -103,14 +123,12 @@ class TestStage:
             ("S", [[np.inf]]),
             ("theta", [np.nan]),
             ("theta", [complex(0.0, -np.inf)]),
-            ("h", np.nan),
-            ("h", np.inf),
             ("a", -np.inf),
             ("a", complex(-1.0, np.nan)),
         ],
     )
     def test_non_finite_field_rejected(self, field, value):
-        fields = dict(S=[[1.0]], theta=[1.0], h=-2.0, a=-1.0)
+        fields = dict(S=[[1.0]], theta=[1.0], a=-1.0)
         fields[field] = value
         with pytest.raises(ValueError, match=f"^stage {field} must be finite$"):
             FilterStage(**fields)
@@ -118,11 +136,34 @@ class TestStage:
     def test_drive_is_the_kernel_row(self, rng):
         # the stage kernel h theta theta^dag S is the outer product theta x drive
         stage = FilterStage(
-            S=haar_unitary(rng, 3), theta=rng.normal(size=3) + 1j, h=-0.7, a=complex(-0.4, 2.0)
+            S=haar_unitary(rng, 3), theta=rng.normal(size=3) + 1j, a=complex(-0.4, 2.0)
         )
         kernel = np.multiply.outer(stage.theta, stage.drive)
         assert np.max(np.abs(kernel - dense_kernel(stage))) <= 1e-15
         assert not stage.drive.flags.writeable
+
+    def test_derived_fields_read_only(self):
+        stage = FilterStage(S=[[1.0]], theta=[2.0], a=complex(-1.0, 0.5))
+        assert stage.h == -0.5
+        for name in ("h", "drive", "a"):
+            with pytest.raises(AttributeError):
+                setattr(stage, name, -1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3),
+        quality=st.floats(-30.0, 30.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_h_matches_validate_model(self, kappa, quality, seed):
+        # two-level models: the derived h is the model's h bit for bit
+        s = haar_unitary(np.random.default_rng(seed), len(kappa))
+        omega_c = quality * sum(kappa)
+        m = SLHModel(S=s, theta=np.sqrt(kappa), L0=sigma_minus(), H0=(omega_c / 2.0) * sigma_z())
+        (stage,) = from_model(m).stages
+        params = validate_model(m).params
+        assert stage.h == params.h
+        assert np.array_equal(stage.drive, params.h * m.theta.conj().dot(m.S))
 
 
 class TestAllPassProperties:
@@ -153,13 +194,52 @@ class TestAllPassProperties:
         assert np.max(np.abs(flux - 1.0)) < 1e-12
 
 
-class TestCascade:
-    def test_identity_is_neutral(self):
-        f = from_model(two_level_model(1.0, 0.3))
-        ws = np.linspace(-10, 10, 101)
-        combined = PhotonTransfer(stages=f.stages + uncoupled_filter(1).stages)
-        assert np.max(np.abs(combined.response_matrix(ws) - f.response_matrix(ws))) < 1e-14
+@st.composite
+def lossless_cascade(draw) -> PhotonTransfer:
+    """K 1-3 channels, depth 1-5: Haar-random ``S``, complex ``theta`` scaled by
+    10^-100..10^100, and poles with ``|Re a|`` over 10^-3..10^3 and ``|Im a|``
+    up to 30 |Re a|."""
+    k = draw(st.integers(1, 3), label="channels")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    stages = []
+    for _ in range(draw(st.integers(1, 5), label="depth")):
+        scale = 10.0 ** draw(st.floats(-100.0, 100.0), label="log10 theta scale")
+        rate = 10.0 ** draw(st.floats(-3.0, 3.0), label="log10 |Re a|")
+        stages.append(
+            FilterStage(
+                S=haar_unitary(rng, k),
+                theta=scale * (rng.normal(size=k) + 1j * rng.normal(size=k)),
+                a=rate * complex(-1.0, draw(st.floats(-30.0, 30.0), label="Im a / |Re a|")),
+            )
+        )
+    return PhotonTransfer(stages=tuple(stages))
 
+
+class TestLossless:
+    @settings(max_examples=200, deadline=None)
+    @given(f=lossless_cascade(), ws=st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=16))
+    def test_every_cascade_is_all_pass(self, f, ws):
+        g = f.response_matrix(np.array(ws))
+        defect = np.conj(np.swapaxes(g, 1, 2)) @ g - np.eye(f.channels)
+        assert np.max(np.abs(defect)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e-100, 1e100])
+    def test_theta_scale_invariance(self, rng, c):
+        # h theta theta^dag S does not depend on the scale of theta
+        s, theta = haar_unitary(rng, 2), rng.normal(size=2) + 1j * rng.normal(size=2)
+        a = complex(-0.7, 1.3)
+        base = PhotonTransfer(stages=(FilterStage(S=s, theta=theta, a=a),) * 3)
+        scaled = PhotonTransfer(stages=(FilterStage(S=s, theta=c * theta, a=a),) * 3)
+        ws = np.linspace(-20.0, 20.0, 81)
+        assert np.max(np.abs(scaled.response_matrix(ws) - base.response_matrix(ws))) <= 1e-14
+        grid = TimeGrid(t_start=-20.0, dt=40.0 / 512, n=512)
+        x = Pulse(grid=grid, samples=rng.normal(size=(grid.n, 2)) + 0j)
+        want = shape_ode(x, base).samples
+        got = shape_ode(x, scaled).samples
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestCascade:
     def test_two_stage_phase_doubles(self):
         kappa, wc = 1.0, 0.4
         f = from_model(two_level_model(kappa, wc))
@@ -212,11 +292,11 @@ class TestImpulseResponse:
 
 
 def random_stage(rng, k: int) -> FilterStage:
-    """Haar-random ``S``, complex ``theta``, any-sign ``h`` and a pole in the left half plane."""
+    """Haar-random ``S``, complex ``theta`` and a pole in the left half plane: a
+    lossless stage, as every stage is."""
     return FilterStage(
         S=haar_unitary(rng, k),
         theta=rng.normal(size=k) + 1j * rng.normal(size=k),
-        h=rng.uniform(-3.0, 3.0),
         a=complex(rng.uniform(-5.0, -0.5), rng.uniform(-5.0, 5.0)),
     )
 
