@@ -3,12 +3,14 @@
     python3 scripts/golden_cli.py run ROOT OUT   # record ROOT's CLI output in OUT
     python3 scripts/golden_cli.py diff A B       # compare two recorded directories
 
-``run`` writes a fixed set of model files into ``OUT/models`` and runs a fixed
+``run`` writes a fixed set of model files into ``OUT/models``, and into
+``OUT/pulses`` a pulse CSV whose energy overflows, and runs a fixed
 list of commands, each as ``python -m photon_slh.cli`` with ``ROOT/src`` on
 ``PYTHONPATH`` and ``OUT`` as the working directory, so every path in the
 output is relative.  It covers every subcommand: ``shape`` by fft, ode and
 both at K = 1 and 2 and cascade 1 and 3, by ode and both on grids coarse
-against the pole, a ``csv:`` read-back, explicit ``--dt``/``--t-start``
+against the pole, ``csv:`` read-backs (of values down through the subnormals
+to -0.0, and of an energy that overflows), explicit ``--dt``/``--t-start``
 grids of ``shape`` and ``oracle inverting-pulse``,
 ``compose --series`` of two-level models at K = 1 and 2 and of two embedded
 sites, a matched pulse on either side of the grid's band, oracle tables
@@ -217,8 +219,35 @@ def _commands():
         ("err_range_over_cap_t", ["oracle", "memory-kernel", "--t=-1:0:4194305"]),
         ("err_range_over_cap_omega", ["oracle", "two-level-g", "--kappa", "0",
                                       "--omega=0:1:4194305"]),
+        # csv: read-backs: a table whose values run down through the subnormals to
+        # -0.0 with 3-digit exponents, a K = 2 output of --method both, and finite
+        # samples whose energy overflows
+        ("oracle_far_tails", ["oracle", "inverting-pulse", "--kappa", "1", "--omega-c", "0.8",
+                              "--log2-n", "11", "--dt", "1", "--t-start=-1500",
+                              "-o", "far_tails.csv"]),
+        ("shape_k1_csv_far_tails", ["shape", "models/k1.json", "--pulse",
+                                    "csv:oracle_far_tails/far_tails.csv", "--method", "both",
+                                    "-o", "csv_far_tails.csv"]),
+        ("shape_k2_csv_both", ["shape", "models/k2.json", "--pulse",
+                               "csv:shape_k2_c3_both/shape_k2_c3_both.csv", "--method", "both",
+                               "-o", "csv_k2_both.csv"]),
+        ("err_csv_energy_overflow", ["shape", "models/k1.json", "--pulse",
+                                     "csv:pulses/overflow.csv", "-o", "err_overflow.csv"]),
     ]
     return cmds
+
+
+def _overflow_pulse() -> str:
+    """A K = 1 pulse CSV: the gaussian t0 = -8, sigma = 0.8 on 2^12 points from
+    t = -24 with dt = 48 / 2^12, at 1e200 times its samples, so that every value
+    is finite and its energy is not."""
+    dt = 48.0 / 2**12
+    rows = []
+    for i in range(2**12):
+        t = -24.0 + dt * i
+        x = 1e200 * (2.0 * math.pi * 0.64) ** -0.25 * math.exp(-((t + 8.0) ** 2) / 2.56)
+        rows.append("%.16e,0,%.16e,%.16e\n" % (t, x, 0.0))
+    return "t,ch,re,im\n" + "".join(rows)
 
 
 def _stderr(text: str) -> str:
@@ -231,6 +260,9 @@ def run(root: str, out: str) -> None:
     for name, doc in MODELS.items():
         with open(os.path.join(out, "models", f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+    os.makedirs(os.path.join(out, "pulses"))
+    with open(os.path.join(out, "pulses", "overflow.csv"), "w", encoding="utf-8") as fh:
+        fh.write(_overflow_pulse())
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
     for name, argv in _commands():
         before = set(os.listdir(out))

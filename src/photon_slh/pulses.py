@@ -28,6 +28,7 @@ They approximate the same continuum result and serve as cross-oracles.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import math
 import sys
@@ -476,6 +477,24 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
 # other value goes, one by one, to Python's own ``"%.16e"``: not finite,
 # subnormal or outside [1e-250, 1e250], a P that puts y outside
 # [10^16, 10^17) (log10 near a power of ten), or f inside the band.
+#
+# The reader's half.  A file exactly in the writer's layout -- the header line,
+# then only lines "F,D,F,F\n" with F as [-]d.dddddddddddddddde[+-]XX[X] and D as
+# "%d" >= 0 -- is parsed by _layout_table in float arithmetic, block by block;
+# any other file goes to np.loadtxt.  SWAR arithmetic (SIMD within a register:
+# 8 ASCII digits per 64-bit word; Lemire, Softw. Pract. Exp. 51, 2021) checks
+# each field's bytes and turns its 17 digits into an integer D < 10^17 and its
+# exponent into E, so that the value is x = D 10^k, k = E - 16, rounded once.
+# With dh = RN(D) and dl = D - dh (exact, |dl| <= u dh), Dekker's product gives
+# dh hi = p + e exactly, and t = RN(RN(e + RN(dh lo)) + RN(dl hi)), |t| <= 3u p.
+# The four roundings in t (7 u^2 p), the neglected dl lo (u^2 p) and the pair's
+# error (u^2 x) put p + t within 2^-102 x of x.  So r = RN(p + t) is RN(x)
+# unless a half between doubles lies that close to p + t.  Fast2Sum gives the
+# residual p + t - r exactly, and where its size comes within 2^-100 r of half
+# an ulp of r (a quarter where r is a power of two: the half below it), the
+# value goes to Python's float(), which rounds as loadtxt does; an exact half
+# always does.  So does every E outside [-218, 250], the exponents whose 10^k
+# _POW10 holds with every product normal.  Zero is set directly, with its sign.
 # ---------------------------------------------------------------------------
 
 #: Rows formatted per write by :func:`write_table`.  A block is formatted as
@@ -504,6 +523,25 @@ _EXPONENTS = np.frombuffer(
     b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in range(-251, 252)), np.uint64
 )
 
+#: The header line of a pulse CSV.
+_PULSE_HEADER = "t,ch,re,im"
+
+#: Bytes read per block by _layout_table, cut back to a line end: some 3500
+#: rows of the writer's layout, whose lines are at most _LINE_MAX bytes long
+#: (three 24-byte floats, an 8-digit channel, three commas and the newline).
+_READ_BLOCK_BYTES = 64 * TABLE_BLOCK_ROWS
+_LINE_MAX = 3 * 24 + 8 + 4
+
+#: Exponents E whose values _layout_floats forms itself, and its band around a
+#: half, relative to the value.
+_E_RANGE = (-218, 250)
+_READ_BAND = 2.0**-100
+
+#: Per width w = 0..8 of a channel field, the "0"s that pad it to 8 digits on
+#: the left, as a little-endian word.
+_CH_PAD = np.array([int.from_bytes(b"0" * (8 - w) + b"\0" * w, "little") for w in range(9)],
+                   np.uint64)
+
 
 def _split(v):
     """Veltkamp's split of ``v`` into two halves of 26 bits."""
@@ -520,6 +558,16 @@ def _pow10_pair(k: int):
     return hi, (num * q - p * den) / (den * q)
 
 
+def _pow10(k: np.ndarray):
+    """``(hi, lo)`` of 10^k for each k of the integer array ``k``, from _POW10."""
+    hi, lo = _POW10.take(k - _K_MIN, axis=1)
+    if np.isnan(hi).any():
+        for j in np.unique(k[np.isnan(hi)]).tolist():
+            _POW10[:, j - _K_MIN] = _pow10_pair(j)
+        hi, lo = _POW10.take(k - _K_MIN, axis=1)
+    return hi, lo
+
+
 def _e16_fields(x: np.ndarray) -> np.ndarray:
     """``"%.16e" % v`` of each value of the float64 vector ``x``, as rows of
     32 bytes padded with NULs (see the section comment)."""
@@ -527,12 +575,7 @@ def _e16_fields(x: np.ndarray) -> np.ndarray:
     fast = (a >= _E16_RANGE[0]) & (a <= _E16_RANGE[1])
     a[~fast] = 1.0
     p10 = np.floor(np.log10(a))
-    k = (16.0 - p10).astype(np.intp) - _K_MIN
-    hi, lo = _POW10.take(k, axis=1)
-    if np.isnan(hi).any():
-        for j in np.unique(k[np.isnan(hi)]).tolist():
-            _POW10[:, j] = _pow10_pair(j + _K_MIN)
-        hi, lo = _POW10.take(k, axis=1)
+    hi, lo = _pow10((16.0 - p10).astype(np.intp))
     p = a * hi
     a1, a2 = _split(a)
     h1, h2 = _split(hi)
@@ -623,26 +666,154 @@ def pulse_table(p: Pulse):
             t = grid.t_start + grid.dt * np.arange(start, start + z.size // k)
             yield np.repeat(t, k), np.tile(np.arange(k), t.size), z.real, z.imag
 
-    return "t,ch,re,im", blocks()
+    return _PULSE_HEADER, blocks()
 
 
 def write_pulse_csv(p: Pulse, path) -> None:
     write_table(path, *pulse_table(p))
 
 
+def _eight_digits(w: np.ndarray):
+    """The value of the 8 ASCII digits in each little-endian uint64 word of ``w``,
+    its first digit in the lowest byte, and whether the word holds only digits."""
+    high = 0xF0F0F0F0F0F0F0F0
+    ok = (w & high) | (((w + 0x0606060606060606) & high) >> 4) == 0x3333333333333333
+    v = w - 0x3030303030303030
+    v = v * 10 + (v >> 8)  # digit pairs
+    low = 0x000000FF000000FF
+    v = (v & low) * (100 + (1000000 << 32)) + ((v >> 16) & low) * (1 + (10000 << 32))
+    return v >> 32, ok
+
+
+def _layout_floats(b: np.ndarray, words: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """The values of the fields ``b[start:end]`` written as ``"%.16e"``, or None if
+    one is not in that form.  ``words[i]`` is the 8 bytes of ``b`` from ``i``."""
+    neg = b[start] == ord("-")
+    s = start + neg
+    wide = end - s - 22  # 1 for a 3-digit exponent
+    if np.any((wide != 0) & (wide != 1)):
+        return None
+    head, mid, tail = words[s], words[s + 8], words[s + 16]
+    # Digits only: "d.dddddd" as "0ddddddd", "dde+XX," as "dd000XX0", "dde+XXX" as "dd00XXX0".
+    a, ok = _eight_digits((head & 0xFFFFFFFFFFFF0000) | ((head & 0xFF) << 8) | 0x30)
+    m, ok_m = _eight_digits(mid)
+    exponent = np.where(
+        wide == 1,
+        (tail & 0x00FFFFFF00000000) | 0x3000000030300000,
+        ((tail & 0x0000FFFF00000000) << 8) | 0x3000003030300000,
+    )
+    c, ok_c = _eight_digits(exponent | (tail & 0xFFFF))
+    sign = (tail >> 24) & 0xFF
+    ok &= ok_m & ok_c & ((head >> 8) & 0xFF == ord(".")) & ((tail >> 16) & 0xFF == ord("e"))
+    if not (ok & ((sign == ord("+")) | (sign == ord("-")))).all():
+        return None
+    lead = c // 10**6
+    d = (a * 10**10 + m * 100 + lead).astype(np.int64)
+    e = ((c - lead * 10**6) // 10).astype(np.int64) * (44 - sign.astype(np.int64))  # "+" 43, "-" 45
+    hi, lo = _pow10(np.clip(e, *_E_RANGE) - 16)
+    dh = d.astype(np.float64)
+    dl = (d - dh.astype(np.int64)).astype(np.float64)
+    p = dh * hi
+    d1, d2 = _split(dh)
+    h1, h2 = _split(hi)
+    t = d1 * h1 - p + d1 * h2 + d2 * h1 + d2 * h2 + dh * lo + dl * hi
+    r = p + t  # +0.0 where D = 0
+    err = t - (r - p)
+    bits = r.view(np.uint64)
+    # Half an ulp of r, or a quarter where r is a power of two: the nearer half.
+    half = (bits & 0x7FF0000000000000).view(np.float64) * 2.0**-53
+    half *= 1.0 - 0.5 * ((bits & (2**52 - 1)) == 0)
+    slow = (np.abs(err) + _READ_BAND * r >= half) | (e < _E_RANGE[0]) | (e > _E_RANGE[1])
+    bits |= neg.astype(np.uint64) << 63
+    for i in np.flatnonzero(slow & (d != 0)).tolist():
+        r[i] = float(b[start[i] : end[i]].tobytes())
+    return r
+
+
+def _layout_block(b: np.ndarray, words: np.ndarray):
+    """The rows t, ch, re, im of the lines ``b``, each ending in a newline, as a
+    ``(lines, 4)`` array, or None if a byte is outside the writer's layout.
+    ``words[i]`` is the 8 bytes of ``b`` from ``i``."""
+    ends = np.flatnonzero(b == ord("\n"))
+    commas = np.flatnonzero(b == ord(","))
+    if commas.size != 3 * ends.size:
+        return None
+    commas = commas.reshape(-1, 3)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if np.any(commas[:, 0] < starts) or np.any(commas[:, 2] > ends):
+        return None  # a line without exactly three commas
+    first = commas[:, 0] + 1
+    width = commas[:, 1] - first
+    if np.any((width < 1) | (width > 8)):
+        return None
+    ch, ok = _eight_digits((words[first] << (8 * (8 - width)).astype(np.uint64)) | _CH_PAD[width])
+    if not ok.all():
+        return None
+    x = _layout_floats(
+        b, words,
+        np.concatenate((starts, commas[:, 1] + 1, commas[:, 2] + 1)),
+        np.concatenate((commas[:, 0], commas[:, 2], ends)),
+    )
+    if x is None:
+        return None
+    return np.column_stack((x[: ends.size], ch, x[ends.size : 2 * ends.size], x[2 * ends.size :]))
+
+
+def _layout_table(fh):
+    """The ``(rows, 4)`` table of the pulse CSV open as ``fh``, binary and at its
+    start, or None unless every byte of it is in the writer's layout (see the
+    section comment)."""
+    header = _PULSE_HEADER.encode() + b"\n"
+    if fh.read(len(header)) != header:
+        return None
+    # A block is read into buf, whose 8 spare bytes let a word start at any of
+    # its bytes; the part of a line at its end is moved to its start for the next.
+    buf = np.zeros(_READ_BLOCK_BYTES + 8, np.uint8)
+    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+    blocks, held = [], 0
+    while n := fh.readinto(memoryview(buf)[held:_READ_BLOCK_BYTES]):
+        end = held + n
+        last = max(0, end - _LINE_MAX)  # in the layout, a line ends in buf[last:end]
+        newlines = np.flatnonzero(buf[last:end] == ord("\n"))
+        if newlines.size == 0:
+            return None
+        stop = last + int(newlines[-1]) + 1
+        rows = _layout_block(buf[:stop], words)
+        if rows is None:
+            return None
+        blocks.append(rows)
+        held = end - stop
+        buf[:held] = buf[stop:end]
+    return np.concatenate(blocks) if blocks and not held else None
+
+
+def _read_table(path) -> np.ndarray:
+    """The ``(rows, fields)`` float table of a pulse CSV: by _layout_table when the
+    file is in the writer's layout, else by np.loadtxt over its non-blank lines,
+    read from the start again (a file that cannot seek goes to np.loadtxt alone)."""
+    with open(path, "rb") as fh:
+        if fh.seekable():
+            table = _layout_table(fh)
+            if table is not None:
+                return table
+            fh.seek(0)
+        with io.TextIOWrapper(fh, encoding="utf-8") as text:
+            if [h.strip() for h in text.readline().split(",")] != _PULSE_HEADER.split(","):
+                raise ValueError(f"pulse CSV must start with header '{_PULSE_HEADER}'")
+            lines = (line for line in text if line.strip())
+            first = next(lines, None)
+            if first is None:
+                raise ValueError("pulse CSV contains no samples")
+            return np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+
+
 def read_pulse_csv(path) -> Pulse:
-    """Read a pulse CSV: each ``(t, ch)`` row exactly once, ``ch >= 0``, uniform ``t``.
+    """Read a pulse CSV: each ``(t, ch)`` row exactly once, ``ch >= 0``, uniform ``t``,
+    and a finite energy ``sum |x|^2 dt``.
 
     Any other content raises :class:`ValueError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        if [h.strip() for h in fh.readline().split(",")] != ["t", "ch", "re", "im"]:
-            raise ValueError("pulse CSV must start with header 't,ch,re,im'")
-        lines = (line for line in fh if line.strip())
-        first = next(lines, None)
-        if first is None:
-            raise ValueError("pulse CSV contains no samples")
-        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+    table = _read_table(path)
     if table.shape[1] != 4:
         raise ValueError("pulse CSV rows must have four fields: t,ch,re,im")
     if not np.all(np.isfinite(table)):
@@ -672,5 +843,9 @@ def read_pulse_csv(path) -> Pulse:
     samples = np.empty(n * channels, dtype=complex)
     samples.real[key] = table[:, 2]
     samples.imag[key] = table[:, 3]
-    return Pulse(grid=grid, samples=samples.reshape(n, channels))
+    p = Pulse(grid=grid, samples=samples.reshape(n, channels))
+    with np.errstate(over="ignore"):
+        if not math.isfinite(p.norm()):
+            raise ValueError("pulse CSV energy sum |x|^2 dt is not finite")
+    return p
 

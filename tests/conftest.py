@@ -96,3 +96,12 @@ def floats_by_python(monkeypatch):
     """The CSV writer with its float arithmetic off: Python's own ``"%.16e"``
     writes every value but zero."""
     monkeypatch.setattr(pulses, "_E16_RANGE", (math.inf, -math.inf))
+
+
+@pytest.fixture(params=["layout", "loadtxt"])
+def csv_parse(request, monkeypatch):
+    """Which parse reads a pulse CSV in the writer's layout: the reader's own, or,
+    with it turned off, the np.loadtxt path that reads every other file."""
+    if request.param == "loadtxt":
+        monkeypatch.setattr(pulses, "_layout_table", lambda fh: None)
+    return request.param

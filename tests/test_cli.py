@@ -18,7 +18,7 @@ from photon_slh import (
 )
 from photon_slh import cli
 from photon_slh.cli import main
-from photon_slh.pulses import PULSE_KINDS, TimeGrid, gaussian_pulse, read_pulse_csv
+from photon_slh.pulses import PULSE_KINDS, Pulse, TimeGrid, gaussian_pulse, read_pulse_csv
 from conftest import BS50, SWAP, two_channel_model, two_level_model
 from test_model import embedded_two_channel_pair, joint_memory_model
 
@@ -289,18 +289,21 @@ class TestShape:
         got = read_pulse_csv(out)
         assert np.max(np.abs(got.samples - expected.samples)) < 1e-15
 
-    @pytest.mark.parametrize("defect", ["missing", "duplicate", "negative-channel"])
+    @pytest.mark.parametrize("defect", ["missing", "duplicate", "negative-channel", "overflow"])
     def test_malformed_csv_pulse_exits_1(self, model_path, swap_path, tmp_path, capsys, defect):
         grid = TimeGrid(t_start=-24.0, dt=48.0 / 2**12, n=2**12)
-        channels = 1 if defect == "negative-channel" else 2
+        channels = 1 if defect in ("negative-channel", "overflow") else 2
+        pulse = gaussian_pulse(grid, t0=-8.0, sigma=0.8, channels=channels)
+        if defect == "overflow":  # finite samples whose energy is not
+            pulse = Pulse(grid=grid, samples=1e200 * pulse.samples)
         pulse_path = tmp_path / "in.csv"
-        write_pulse_csv(gaussian_pulse(grid, t0=-8.0, sigma=0.8, channels=channels), pulse_path)
+        write_pulse_csv(pulse, pulse_path)
         lines = pulse_path.read_text().splitlines(keepends=True)
         if defect == "missing":
             del lines[100]
         elif defect == "duplicate":
             lines.append(lines[100])
-        else:
+        elif defect == "negative-channel":
             lines[1:] = [line.replace(",0,", ",-1,") for line in lines[1:]]
         pulse_path.write_text("".join(lines))
         model = model_path if channels == 1 else swap_path
@@ -308,7 +311,7 @@ class TestShape:
         code = main(["shape", str(model), "--pulse", f"csv:{pulse_path}", "-o", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: pulse CSV")
-        assert not out.exists()
+        assert not out.exists() and not (tmp_path / "out.csv.json").exists()
 
     def test_csv_pulse_far_from_origin(self, tmp_path):
         # |t_start| / dt = 1e7: the written times round by more than 1e-9 dt

@@ -30,6 +30,7 @@ from photon_slh import (
     square_pulse,
     write_pulse_csv,
 )
+from photon_slh import pulses
 from photon_slh.pulses import PULSE_KINDS, TABLE_BLOCK_ROWS, parse_pulse_spec, write_table
 from conftest import (
     BS50,
@@ -665,6 +666,11 @@ class TestCsvFormats:
         p = Pulse(grid=grid, samples=parts[..., 0] + 1j * parts[..., 1])
         path = tmp_path / "pulse.csv"
         write_pulse_csv(p, path)
+        with np.errstate(over="ignore"):
+            if not math.isfinite(p.norm()):
+                with pytest.raises(ValueError, match="energy"):
+                    read_pulse_csv(path)
+                return
         back = read_pulse_csv(path)
         assert back.grid.n == grid.n
         assert back.grid.t_start == grid.t_start
@@ -883,3 +889,164 @@ class TestTableText:
                 tracemalloc.stop()
 
         assert peak(18) <= 1.25 * peak(14)
+
+
+def _fields_file(path, fields, channels=1) -> np.ndarray:
+    """Write the texts ``fields`` as the t, re and im fields of a pulse CSV table,
+    channel numbers counting 0..channels-1; return the table by Python's float()."""
+    rows = np.resize(np.array(fields, dtype=object), 3 * -(-len(fields) // 3)).reshape(-1, 3)
+    path.write_text("t,ch,re,im\n" + "".join(
+        f"{t},{i % channels},{re},{im}\n" for i, (t, re, im) in enumerate(rows.tolist())))
+    return np.array([[float(t), i % channels, float(re), float(im)]
+                     for i, (t, re, im) in enumerate(rows.tolist())])
+
+
+def _written_fields(values) -> list:
+    return ["%.16e" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _near_halves() -> list:
+    """17-digit decimals x = D 10^-q, q = 21..29, within 2^-100 x of a half between
+    doubles, odd 2^-s with 2^53 < odd < 2^54, of both signs: from D 2^(s - q) =
+    odd 5^q + d for small d, that is D = d (2^(s - q))^-1 mod 5^q."""
+    near = []
+    for q in range(21, 30):
+        f = 5**q
+        for s in range(q, q + 80):
+            for d in (-3, -2, -1, 1, 2, 3):
+                d0 = d * pow(2 ** (s - q), -1, f) % f
+                for D in range(d0 + (10**16 - d0 + f - 1) // f * f, 10**17, f):
+                    odd, rem = divmod(D * 2 ** (s - q) - d, f)
+                    if rem == 0 and odd % 2 == 1 and 2**53 < odd < 2**54:
+                        text = f"{str(D)[0]}.{str(D)[1:]}e{16 - q:+03d}"
+                        near += [text, "-" + text]
+    return near
+
+
+def _in_layout(path) -> bool:
+    with open(path, "rb") as fh:
+        return pulses._layout_table(fh) is not None
+
+
+def _edit_lines(path, edit):
+    lines = path.read_bytes().splitlines(keepends=True)
+    edit(lines)
+    path.write_bytes(b"".join(lines))
+
+
+class TestCsvRead:
+    # The reader's table against Python's float() of each field, on both parses.
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hnp.arrays(np.uint64, st.integers(1, 120)), st.integers(1, 3))
+    def test_any_bit_pattern(self, tmp_path, csv_parse, bits, channels):
+        x = bits.view(np.float64).copy()
+        x[~np.isfinite(x)] = -0.0
+        path = tmp_path / "table.csv"
+        expected = _fields_file(path, _written_fields(x), channels)
+        assert np.array_equal(pulses._read_table(path).view(np.uint64), expected.view(np.uint64))
+        if csv_parse == "layout":
+            assert _in_layout(path)
+
+    @pytest.mark.parametrize("fields", [
+        lambda: _written_fields(_exact_ties()),
+        lambda: _written_fields(_near_ties()),
+        lambda: _written_fields(_just_below_powers_of_ten()),
+        lambda: _written_fields(_decade_edges()),
+        # the ends of the exponents the reader's arithmetic takes, and past them
+        lambda: [f"{s}{m}e{e:+04d}" for e in (-217, -218, -219, 250, 251)
+                 for m in ("1.0000000000000000", "1.2345678901234567", "9.9999999999999999")
+                 for s in ("", "-")],
+        # 3-digit negative exponents, down through the subnormals
+        lambda: _written_fields([s * 10.0**-e * m for e in range(100, 324) for m in (1, 3.3)
+                                 for s in (1, -1)] + [5e-324, -5e-324, 0.0, -0.0]),
+        _near_halves,
+    ], ids=["exact-ties", "near-ties", "below-powers-of-ten", "decade-edges", "range-ends",
+            "negative-3-digit-exponents", "near-halves"])
+    def test_fixed_values(self, tmp_path, csv_parse, fields):
+        path = tmp_path / "table.csv"
+        expected = _fields_file(path, fields(), 2)
+        assert np.array_equal(pulses._read_table(path).view(np.uint64), expected.view(np.uint64))
+        if csv_parse == "layout":
+            assert _in_layout(path)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("missing", "exactly once"), ("duplicate", "exactly once"), ("non-uniform", "uniform"),
+    ])
+    def test_defects_in_the_writers_layout(self, tmp_path, csv_parse, defect, message):
+        grid = TimeGrid(t_start=-2.0, dt=0.125, n=32)
+        path = tmp_path / "pulse.csv"
+        write_pulse_csv(gaussian_pulse(grid, t0=0.0, sigma=0.5, channels=2), path)
+        if defect == "missing":
+            _edit_lines(path, lambda lines: lines.pop(7))
+        elif defect == "duplicate":
+            _edit_lines(path, lambda lines: lines.insert(7, lines[7]))
+        else:  # time 4 of 32 moved by dt / 4 in both its rows, in the writer's format
+            _edit_lines(path, lambda lines: lines.__setitem__(
+                slice(9, 11), [b"%.16e" % -1.46875 + line[23:] for line in lines[9:11]]))
+        if csv_parse == "layout":
+            assert _in_layout(path)
+        with pytest.raises(ValueError, match=message):
+            read_pulse_csv(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: data.replace(b"\n", b"\n\n", 5),
+        lambda data: data.replace(b"\n", b"\n \t\n", 5),
+        lambda data: data[:-1],
+        lambda data: data.replace(b"0.0000000000000000e+00", b"0.0"),
+        lambda data: data.replace(b",0,", b", 0,"),
+    ], ids=["crlf", "blank-lines", "whitespace-lines", "no-final-newline", "short-zero",
+            "space"])
+    def test_other_layouts_read_by_loadtxt(self, tmp_path, edit):
+        grid = TimeGrid(t_start=-2.0, dt=0.125, n=32)
+        p = gaussian_pulse(grid, t0=0.0, sigma=0.5, channels=2)
+        path = tmp_path / "pulse.csv"
+        write_pulse_csv(p, path)
+        path.write_bytes(edit(path.read_bytes()))
+        assert not _in_layout(path)
+        back = read_pulse_csv(path)
+        assert back.grid == grid
+        assert np.array_equal(back.samples.view(np.uint64), p.samples.view(np.uint64))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_unseekable_file_read_by_loadtxt(self, tmp_path, monkeypatch):
+        grid = TimeGrid(t_start=-2.0, dt=0.125, n=32)
+        p = gaussian_pulse(grid, t0=0.0, sigma=0.5, channels=2)
+        path = tmp_path / "pulse.csv"
+        write_pulse_csv(p, path)
+        monkeypatch.setattr(pulses, "_layout_table", None)  # never called
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())  # 5 kB: within the pipe's buffer
+            os.close(w)
+            back = read_pulse_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert np.array_equal(back.samples.view(np.uint64), p.samples.view(np.uint64))
+
+    def test_energy_must_be_finite(self, tmp_path):
+        grid = TimeGrid(t_start=-24.0, dt=48.0 / 2**12, n=2**12)
+        p = gaussian_pulse(grid, t0=-8.0, sigma=0.8)
+        path = tmp_path / "pulse.csv"
+        write_pulse_csv(Pulse(grid=grid, samples=1e200 * p.samples), path)
+        with pytest.raises(ValueError, match="pulse CSV energy"):
+            read_pulse_csv(path)
+
+    def test_memory_is_bounded_by_blocks(self, tmp_path):
+        # Beyond the table and the per-block rows it is joined from, the parse holds
+        # one block's arrays: never the file, nor any other array of its length.
+        def excess(log2_n):
+            grid = TimeGrid(t_start=-1.0, dt=2.0 / 2**log2_n, n=2**log2_n)
+            path = tmp_path / f"pulse{log2_n}.csv"
+            write_pulse_csv(Pulse(grid=grid, samples=np.full((grid.n, 2), 0.3 - 0.7j)), path)
+            tracemalloc.start()
+            try:
+                table = pulses._read_table(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert table.shape == (2 * grid.n, 4)
+            return peak - 2 * table.nbytes
+
+        assert excess(18) <= 1.25 * excess(14)
