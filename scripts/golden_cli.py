@@ -16,8 +16,8 @@ grids of ``shape`` and ``oracle inverting-pulse``,
 sites, a matched pulse on either side of the grid's band, oracle tables
 whose values test the CSV writer's float text (exact halves, powers of ten,
 extreme and subnormal magnitudes, -0.0), and the error exits, unread and
-conflicting oracle flags, malformed pulse parameters and over-long ranges among
-them.  Per command it keeps
+conflicting oracle flags, malformed pulse parameters, over-long ranges and an
+over-deep cascade among them.  Per command it keeps
 ``OUT/<name>/exit``, ``stdout``, ``stderr`` and the files the command wrote.
 A traceback is kept as its last line, since its file paths and line numbers
 name the tree, not the behaviour.
@@ -140,6 +140,8 @@ def _commands():
         ("err_short_grid", ["shape", "models/k1.json", "--dt", "0.001", "--log2-n", "8",
                             "-o", "err_short_grid.csv"]),
         ("err_cascade_0", ["shape", "models/k1.json", "--cascade", "0", "-o", "err_c0.csv"]),
+        ("err_cascade_over", ["shape", "models/k1.json", "--cascade", "1025",
+                              "-o", "err_c1025.csv"]),
         ("err_pulse_nan", ["shape", "models/k1.json", "--pulse", "gaussian:t0=nan",
                            "-o", "err_nan.csv"]),
         ("err_high_q", ["shape", "models/high_q.json", "-o", "err_high_q.csv"]),

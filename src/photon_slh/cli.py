@@ -57,6 +57,9 @@ from .transfer import PhotonTransfer, from_model
 #: Largest log2 of a sample count: of a ``--log2-n`` grid, and of a start:stop:count range.
 MAX_LOG2_N = 22
 
+#: Largest ``--cascade`` depth.
+MAX_CASCADE = 1024
+
 
 class CLIError(ValueError):
     """A usage or input error; ``main`` reports it like any ValueError (exit 1)."""
@@ -142,6 +145,8 @@ def _cmd_shape(args) -> int:
     filt = from_model(m, tol=args.tol)
     if args.cascade < 1:
         raise CLIError("--cascade must be at least 1")
+    if args.cascade > MAX_CASCADE:
+        raise CLIError(f"--cascade allows at most {MAX_CASCADE} stages, got {args.cascade}")
     if not 0 <= args.channel < m.channels:
         raise CLIError(f"channel {args.channel} out of range for {m.channels} channels")
     filt = PhotonTransfer(stages=filt.stages * args.cascade)

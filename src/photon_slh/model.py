@@ -5,6 +5,8 @@ plant Hamiltonian ``H0`` and channel couplings that all go through one
 operator, ``L_k = theta_k * L0``: a complex profile ``theta`` (one entry per
 field channel) times a single coupling operator ``L0``.  That is the form the
 single-photon transfer result covers, and the only form a model takes here.
+The model holds its matrices as read-only complex numpy arrays, and every
+product, adjoint and commutator below is plain matrix algebra on them.
 
 The checker verifies five conditions on a model:
 
@@ -40,8 +42,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-
-from .operators import Operator, commutator, ground_state, zero
 
 __all__ = [
     "SLHModel",
@@ -84,6 +84,18 @@ class SingularLoopError(ValueError):
     """Feedback loop ``1 - S22`` is (numerically) singular."""
 
 
+def _square_matrix(x, name: str) -> np.ndarray:
+    """``x`` as a read-only complex square matrix of at least 1x1 with finite
+    entries; raises :class:`ValueError` naming ``name`` otherwise."""
+    m = np.array(x, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{name} must be square and at least 1x1, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} entries must be finite")
+    m.setflags(write=False)
+    return m
+
+
 def require_unitary(s: np.ndarray) -> None:
     """Raise :class:`ValueError` unless the square matrix ``s`` is unitary to STRUCTURE_TOL."""
     defect = np.linalg.norm(s.conj().T @ s - np.eye(s.shape[0]))
@@ -98,17 +110,20 @@ class SLHModel:
     ``S`` is K x K and unitary, ``H0`` is Hermitian, and channel ``k``
     couples through ``L_k = theta_k * L0``: ``theta`` holds K finite complex
     amplitudes and ``L0`` is one operator on the same space as ``H0``.
+    All four are stored as read-only complex arrays.  ``L0`` and ``H0`` may be
+    given as anything ``np.array`` takes, the constructors of
+    :mod:`photon_slh.operators` included.
     """
 
     S: np.ndarray
     theta: np.ndarray
-    L0: Operator
-    H0: Operator
+    L0: np.ndarray
+    H0: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.array(self.S, dtype=complex)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValueError(f"S must be square, got shape {s.shape}")
+        l0 = _square_matrix(self.L0, "L0")
+        h0 = _square_matrix(self.H0, "H0")
+        s = _square_matrix(self.S, "S")
         k = s.shape[0]
         th = np.array(self.theta, dtype=complex).reshape(-1)
         if th.shape != (k,):
@@ -116,15 +131,14 @@ class SLHModel:
         if not np.all(np.isfinite(th)):
             raise ValueError("theta entries must be finite")
         require_unitary(s)
-        herm = np.linalg.norm(self.H0.mat - self.H0.mat.conj().T)
+        herm = np.linalg.norm(h0 - h0.conj().T)
         if herm > STRUCTURE_TOL:
             raise ValueError(f"H0 is not Hermitian (defect {herm:.3e})")
-        if self.L0.dim != self.H0.dim:
+        if l0.shape != h0.shape:
             raise ValueError("L0 dimension does not match H0")
-        s.setflags(write=False)
         th.setflags(write=False)
-        object.__setattr__(self, "S", s)
-        object.__setattr__(self, "theta", th)
+        for name, value in (("S", s), ("theta", th), ("L0", l0), ("H0", h0)):
+            object.__setattr__(self, name, value)
 
     @property
     def channels(self) -> int:
@@ -132,15 +146,15 @@ class SLHModel:
 
     @property
     def levels(self) -> int:
-        return self.H0.dim
+        return self.H0.shape[0]
 
     @classmethod
     def factored(
         cls,
         S: np.ndarray,
         theta: Sequence[complex],
-        L0: Operator,
-        H0: Operator,
+        L0: np.ndarray,
+        H0: np.ndarray,
     ) -> "SLHModel":
         """Build a model with coupling ``L_k = theta_k * L0``."""
         return cls(S=S, theta=theta, L0=L0, H0=H0)
@@ -155,9 +169,9 @@ def _factor_coupling(stacked: np.ndarray, dim: int):
     k = stacked.shape[1]
     scale = np.linalg.norm(stacked)
     if scale == 0.0:
-        return np.zeros(k, dtype=complex), zero(dim)
+        return np.zeros(k, dtype=complex), np.zeros((dim, dim), dtype=complex)
     if k == 1:
-        return np.array([1.0 + 0.0j]), Operator(stacked.reshape(dim, dim))
+        return np.array([1.0 + 0.0j]), stacked.reshape(dim, dim)
     u, sing, _ = np.linalg.svd(stacked, full_matrices=False)
     if sing[1] > FACTOR_TOL * sing[0]:
         raise ValueError(
@@ -169,7 +183,7 @@ def _factor_coupling(stacked: np.ndarray, dim: int):
     j = int(np.argmax(np.abs(lead)))
     lead = lead * (lead[j].conjugate() / abs(lead[j]))
     theta = lead.conj() @ stacked
-    return theta, Operator(lead.reshape(dim, dim))
+    return theta, lead.reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -269,12 +283,12 @@ def validate_model(m: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     """
     if not 0.0 <= tol <= TOL_CEILING:
         raise ValueError(f"tol must lie in [0, {TOL_CEILING:g}], got {tol}")
-    e0 = ground_state(m.levels)
-    l0, h0 = m.L0, m.H0
-    alpha, r_alpha = _fit(h0.mat @ e0, e0)
-    r_coupling = float(np.linalg.norm(l0.mat @ e0))
-    beta, r_beta = _fit(e0 @ commutator(l0, h0).mat, e0 @ l0.mat)
-    h, r_h = _fit(commutator(l0.dagger(), l0).mat @ e0, e0)
+    e0 = np.eye(m.levels, dtype=complex)[0]
+    l0, h0, l0_dag = m.L0, m.H0, m.L0.conj().T
+    alpha, r_alpha = _fit(h0 @ e0, e0)
+    r_coupling = float(np.linalg.norm(l0 @ e0))
+    beta, r_beta = _fit(e0 @ (l0 @ h0 - h0 @ l0), e0 @ l0)
+    h, r_h = _fit((l0_dag @ l0 - l0 @ l0_dag) @ e0, e0)
     h_imag = abs(h.imag)
     unfit = "relation does not hold at tolerance"
     reports = (
@@ -315,11 +329,6 @@ def validate_model(m: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     return ValidationReport(passed=passed, conditions=conditions, params=params)
 
 
-def _im_operator(x: Operator) -> Operator:
-    """Skew part ``(X - X^dag) / 2i`` (Hermitian for any X)."""
-    return Operator((x.mat - x.mat.conj().T) / 2j)
-
-
 def series_product(g2: SLHModel, g1: SLHModel) -> SLHModel:
     """Feed the outputs of ``g1`` into the inputs of ``g2``.
 
@@ -340,9 +349,9 @@ def series_product(g2: SLHModel, g1: SLHModel) -> SLHModel:
             f"Hilbert-space dimension mismatch: {g2.levels} vs {g1.levels}"
         )
     phi = g2.S @ g1.theta
-    coupling = np.outer(g2.L0.mat.reshape(-1), g2.theta) + np.outer(g1.L0.mat.reshape(-1), phi)
-    cross = complex(np.vdot(g2.theta, phi)) * (g2.L0.dagger() @ g1.L0)
-    h = g1.H0 + g2.H0 + _im_operator(cross)
+    coupling = np.outer(g2.L0.reshape(-1), g2.theta) + np.outer(g1.L0.reshape(-1), phi)
+    cross = complex(np.vdot(g2.theta, phi)) * (g2.L0.conj().T @ g1.L0)
+    h = g1.H0 + g2.H0 + (cross - cross.conj().T) / 2j
     theta, l0 = _factor_coupling(coupling, g1.levels)
     return SLHModel(S=g2.S @ g1.S, theta=theta, L0=l0, H0=h)
 
@@ -390,7 +399,7 @@ def feedback_reduce(m: SLHModel) -> SLHModel:
     s_red = np.array([[complex(m.S[0, 0]) + w * complex(m.S[1, 0])]])
     theta_red = np.array([c1 + w * c2])
     shift = feedback_shift(m)
-    h_red = m.H0 + shift * (m.L0.dagger() @ m.L0)
+    h_red = m.H0 + shift * (m.L0.conj().T @ m.L0)
     return SLHModel.factored(s_red, theta_red, m.L0, h_red)
 
 
@@ -430,8 +439,8 @@ def model_to_dict(m: SLHModel) -> dict:
         "channels": m.channels,
         "S": _matrix_to_pairs(m.S),
         "theta": [_pair(c) for c in m.theta],
-        "L0": _matrix_to_pairs(m.L0.mat),
-        "H0": _matrix_to_pairs(m.H0.mat),
+        "L0": _matrix_to_pairs(m.L0),
+        "H0": _matrix_to_pairs(m.H0),
     }
 
 
@@ -454,8 +463,8 @@ def model_from_dict(data: dict) -> SLHModel:
         raise ValueError("field 'theta' must be a list of [re, im] pairs") from exc
     if theta.shape != (channels,):
         raise ValueError(f"field 'theta' has length {theta.shape[0]}, expected {channels}")
-    l0 = Operator(_pairs_to_matrix(data["L0"], "L0", (levels, levels)))
-    h0 = Operator(_pairs_to_matrix(data["H0"], "H0", (levels, levels)))
+    l0 = _pairs_to_matrix(data["L0"], "L0", (levels, levels))
+    h0 = _pairs_to_matrix(data["H0"], "H0", (levels, levels))
     return SLHModel.factored(s, theta, l0, h0)
 
 

@@ -1,13 +1,14 @@
-"""Dense complex operators on small finite-level Hilbert spaces.
+"""Constructors of small dense operators: qubit operators and site embeddings.
 
-Plain-numpy building blocks shared by the model layer: an immutable
-``Operator`` wrapper, qubit constructors, commutators, basis states and
-Kronecker embedding of single-site operators into a short chain.
+The model layer holds plain complex arrays (see :class:`photon_slh.SLHModel`);
+this module only builds them.  Each constructor returns an :class:`Operator`,
+an immutable square matrix in ``.mat`` that can be scaled by a number and
+converts to an array (``np.asarray(op)``), so it can stand wherever a model
+takes a matrix.
 
 Conventions: the ground state ``|0>`` is the first basis vector (index 0),
 ``sigma_z = |1><1| - |0><0|``, ``sigma_plus = |1><0|``,
-``sigma_minus = |0><1|``. Operator norms are Frobenius, vector norms
-Euclidean.
+``sigma_minus = |0><1|``.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ import numpy as np
 
 __all__ = [
     "Operator",
-    "identity",
-    "zero",
     "sigma_z",
     "sigma_plus",
     "sigma_minus",
-    "ground_state",
-    "commutator",
     "embed_site",
 ]
 
@@ -53,37 +50,16 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dagger(self) -> "Operator":
-        """Hermitian adjoint."""
-        return Operator(self.mat.conj().T)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.mat @ other.mat)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.mat + other.mat)
-
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.mat * complex(scalar))
 
     __rmul__ = __mul__
 
-    def _check_dim(self, other: "Operator") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"operator dimension mismatch: {self.dim} vs {other.dim}")
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.mat, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Operator(dim={self.dim})"
-
-
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex))
-
-
-def zero(dim: int) -> Operator:
-    return Operator(np.zeros((dim, dim), dtype=complex))
 
 
 def sigma_z() -> Operator:
@@ -101,32 +77,15 @@ def sigma_minus() -> Operator:
     return Operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
-def ground_state(dim: int) -> np.ndarray:
-    """First basis vector of C^dim."""
-    return basis_state(dim, 0)
-
-
-def basis_state(dim: int, index: int) -> np.ndarray:
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    """``[A, B] = AB - BA``."""
-    a._check_dim(b)
-    return Operator(a.mat @ b.mat - b.mat @ a.mat)
-
-
-def embed_site(a: Operator, site: int, n_sites: int) -> Operator:
-    """Embed ``a`` acting on one factor of a homogeneous tensor product.
+def embed_site(a, site: int, n_sites: int) -> Operator:
+    """Embed ``a`` (an :class:`Operator` or a square matrix) acting on one
+    factor of a homogeneous tensor product.
 
     Site 0 is the leftmost Kronecker factor; identities fill the other
     sites.  The total dimension ``a.dim ** n_sites`` must stay within
     ``TENSOR_DIM_CAP``.
     """
+    a = Operator(a)
     if n_sites < 1:
         raise ValueError("n_sites must be at least 1")
     if not 0 <= site < n_sites:

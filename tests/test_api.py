@@ -10,4 +10,4 @@ def test_package_exports_the_module_lists():
     assert len(set(photon_slh.__all__)) == len(photon_slh.__all__)
     for name in photon_slh.__all__:
         assert hasattr(photon_slh, name), name
-    assert len(photon_slh.__all__) <= 45
+    assert len(photon_slh.__all__) <= 41

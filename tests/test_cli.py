@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from photon_slh import (
-    Operator,
     SLHModel,
     feedback_reduce,
     from_model,
@@ -14,13 +13,12 @@ from photon_slh import (
     sigma_minus,
     sigma_z,
     write_pulse_csv,
-    zero,
 )
 from photon_slh import cli
 from photon_slh.cli import main
 from photon_slh.pulses import PULSE_KINDS, Pulse, TimeGrid, gaussian_pulse, read_pulse_csv
 from conftest import BS50, SWAP, two_channel_model, two_level_model
-from test_model import embedded_two_channel_pair, joint_memory_model
+from test_model import embedded_two_channel_pair, joint_memory_model, zero
 
 KAPPA, OMEGA_C = 1.0, 0.8
 CSV_GRID = "does not apply to a csv: pulse, which brings its own grid"
@@ -52,7 +50,7 @@ class TestValidate:
         assert doc["params"]["a"] == [-KAPPA / 2.0, -OMEGA_C]
 
     def test_sigma_x_coupling_fails(self, tmp_path, capsys):
-        sx = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         bad = SLHModel.factored(np.array([[1.0]]), [1.0], sx, zero(2))
         path = tmp_path / "sx.json"
         save_model(bad, path)
@@ -80,7 +78,7 @@ class TestValidate:
         # Hermitian nudge that fails at 1e-10 but passes at the ceiling 1e-3
         h0 = (OMEGA_C / 2.0) * sigma_z().mat + 1e-6 * np.array([[0.0, 1.0], [1.0, 0.0]])
         m = SLHModel.factored(
-            np.array([[1.0]]), [np.sqrt(KAPPA)], sigma_minus(), Operator(h0)
+            np.array([[1.0]]), [np.sqrt(KAPPA)], sigma_minus(), h0
         )
         path = tmp_path / "nudged.json"
         save_model(m, path)
@@ -194,6 +192,21 @@ class TestShape:
         )
         expected = shape_fft(pulse, filt)
         assert np.max(np.abs(got.samples - expected.samples)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            (0, "--cascade must be at least 1"),
+            (cli.MAX_CASCADE + 1, f"--cascade allows at most {cli.MAX_CASCADE} stages, "
+                                  f"got {cli.MAX_CASCADE + 1}"),
+        ],
+        ids=["zero", "over-ceiling"],
+    )
+    def test_cascade_out_of_range_exits_1(self, model_path, tmp_path, capsys, depth, message):
+        out = tmp_path / "c.csv"
+        assert main(["shape", str(model_path), "--cascade", str(depth), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [model_path]
 
     @pytest.mark.parametrize(
         "flags, grid",
@@ -506,8 +519,8 @@ class TestCompose:
         theta = [complex(re, im) for re, im in doc["theta"]]
         l0 = np.array([[complex(*c) for c in row] for row in doc["L0"]])
         h0 = np.array([[complex(*c) for c in row] for row in doc["H0"]])
-        assert np.allclose(theta[0] * l0, m.theta[0] * m.L0.mat, atol=1e-14)
-        assert np.allclose(h0, m.H0.mat, atol=1e-14)
+        assert np.allclose(theta[0] * l0, m.theta[0] * m.L0, atol=1e-14)
+        assert np.allclose(h0, m.H0, atol=1e-14)
 
     def test_feedback_swap(self, swap_path, tmp_path, capsys):
         out = tmp_path / "reduced.json"

@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photon_slh import (
-    Operator,
     SLHModel,
     SingularLoopError,
-    commutator,
     embed_site,
-    ground_state,
     feedback_reduce,
     feedback_shift,
     load_model,
@@ -24,29 +21,35 @@ from photon_slh import (
     sigma_plus,
     sigma_z,
     validate_model,
-    zero,
 )
 from conftest import BS50, SWAP, haar_unitary, two_channel_model, two_level_model
 
 
+def zero(dim: int) -> np.ndarray:
+    return np.zeros((dim, dim), dtype=complex)
+
+
 def couplings(m: SLHModel) -> list:
     """Per-channel coupling matrices ``theta_k L0``."""
-    return [c * m.L0.mat for c in m.theta]
+    return [c * m.L0 for c in m.theta]
 
 
 def joint_memory_model(kappa: float, omega_c: float, n_sites: int = 2) -> SLHModel:
     """All-atoms-at-once memory chain model on the joint space."""
+
+    def site(op, n):
+        return embed_site(op, n, n_sites).mat
+
     sm, sz, sp = sigma_minus(), sigma_z(), sigma_plus()
     l0 = zero(2**n_sites)
     h0 = zero(2**n_sites)
     for n in range(n_sites):
-        l0 = l0 + embed_site(sm, n, n_sites)
-        h0 = h0 + (omega_c / 2.0) * embed_site(sz, n, n_sites)
+        l0 = l0 + site(sm, n)
+        h0 = h0 + (omega_c / 2.0) * site(sz, n)
     for j in range(1, n_sites):
         for i in range(j):
-            hop = (embed_site(sp, j, n_sites) @ embed_site(sm, i, n_sites)).mat
-            hop = hop - (embed_site(sp, i, n_sites) @ embed_site(sm, j, n_sites)).mat
-            h0 = h0 + (kappa / 2j) * Operator(hop)
+            hop = site(sp, j) @ site(sm, i) - site(sp, i) @ site(sm, j)
+            h0 = h0 + (kappa / 2j) * hop
     return SLHModel.factored(np.array([[1.0]]), [np.sqrt(kappa)], l0, h0)
 
 
@@ -61,13 +64,13 @@ def embedded_two_channel_pair():
     )
 
 
-def random_hermitian(rng, dim: int) -> Operator:
+def random_hermitian(rng, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return Operator((a + a.conj().T) / 2.0)
+    return (a + a.conj().T) / 2.0
 
 
-def random_operator(rng, dim: int) -> Operator:
-    return Operator(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+def random_operator(rng, dim: int) -> np.ndarray:
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
 def _eigen_reference(a: np.ndarray, v: np.ndarray):
@@ -97,7 +100,7 @@ def _row_reference(a: np.ndarray, b: np.ndarray, row: np.ndarray):
 def reference_validation(m: SLHModel, tol: float) -> dict:
     """Reference condition check, one relation test per condition, in the
     layout of ``ValidationReport.to_dict``."""
-    e0 = ground_state(m.levels)
+    e0 = np.eye(m.levels, dtype=complex)[0]
     l0, h0 = m.L0, m.H0
     conditions = {}
 
@@ -105,13 +108,14 @@ def reference_validation(m: SLHModel, tol: float) -> dict:
         conditions[name] = {"holds": holds, "residual": residual,
                             "message": "" if holds else failure}
 
-    r_alpha, alpha = _eigen_reference(h0.mat, e0)
+    r_alpha, alpha = _eigen_reference(h0, e0)
     put("ground_energy", r_alpha <= tol, r_alpha, "relation does not hold at tolerance")
-    r_l = float(np.linalg.norm(l0.mat @ e0))
+    r_l = float(np.linalg.norm(l0 @ e0))
     put("coupling_annihilates", r_l <= tol, r_l, "L0 does not annihilate the ground state")
-    r_beta, beta = _row_reference(commutator(l0, h0).mat, l0.mat, e0)
+    r_beta, beta = _row_reference(l0 @ h0 - h0 @ l0, l0, e0)
     put("commutator_proportional", r_beta <= tol, r_beta, "relation does not hold at tolerance")
-    r_h, h = _eigen_reference(commutator(l0.dagger(), l0).mat, e0)
+    l0_dag = l0.conj().T
+    r_h, h = _eigen_reference(l0_dag @ l0 - l0 @ l0_dag, e0)
     h_imag = 0.0 if h is None else abs(h.imag)
     put("number_eigenrelation", r_h <= tol and h_imag <= tol,
         max(r_h, h_imag) if r_h <= tol else r_h, "eigenrelation fails or eigenvalue is not real")
@@ -136,20 +140,23 @@ def random_condition_model(rng, kind: str, levels: int, k: int, noise: float) ->
     """A model that passes the condition check (``two-level``, ``embedded``, ``ladder``)
     or fails it (``random``), with couplings and Hamiltonian nudged by ``noise``."""
     if kind == "two-level":
-        l0, h0 = sigma_minus(), rng.normal() * sigma_z()
+        l0, h0 = sigma_minus().mat, rng.normal() * sigma_z().mat
     elif kind == "embedded":
         site = int(rng.integers(2))
-        l0 = complex(rng.normal(), rng.normal()) * embed_site(sigma_minus(), site, 2)
-        h0 = Operator(np.diag(rng.normal(size=4)))
+        l0 = complex(rng.normal(), rng.normal()) * embed_site(sigma_minus(), site, 2).mat
+        h0 = np.diag(rng.normal(size=4))
     elif kind == "ladder":
         lower = np.diag(rng.normal(size=levels - 1) + 1j * rng.normal(size=levels - 1), 1)
-        l0, h0 = Operator(lower), Operator(np.diag(rng.normal(size=levels)))
+        l0, h0 = lower, np.diag(rng.normal(size=levels))
     else:
         l0, h0 = random_operator(rng, levels), random_hermitian(rng, levels)
-    l0 = l0 + noise * random_operator(rng, l0.dim)
-    h0 = h0 + noise * random_hermitian(rng, h0.dim)
+    l0 = l0 + noise * random_operator(rng, len(l0))
+    h0 = h0 + noise * random_hermitian(rng, len(h0))
     theta = rng.normal(size=k) + 1j * rng.normal(size=k)
     return SLHModel.factored(haar_unitary(rng, k), theta, l0, h0)
+
+
+SQUARE = "must be square and at least 1x1, got shape"
 
 
 class TestModelInvariants:
@@ -178,7 +185,52 @@ class TestModelInvariants:
         m = two_channel_model(1.0, 0.25, 0.3, S=BS50)
         assert [f.name for f in dataclasses.fields(SLHModel)] == ["S", "theta", "L0", "H0"]
         assert np.array_equal(m.theta, [1.0, 0.5])
-        assert np.array_equal(m.L0.mat, sigma_minus().mat)
+        assert np.array_equal(m.L0, sigma_minus().mat)
+
+    @pytest.mark.parametrize(
+        "l0, h0, message",
+        [
+            (np.zeros((2, 3)), zero(2), rf"^L0 {SQUARE} \(2, 3\)$"),
+            (zero(2), np.zeros(2), rf"^H0 {SQUARE} \(2,\)$"),
+            (zero(0), zero(0), rf"^L0 {SQUARE} \(0, 0\)$"),
+            (np.array([[0.0, np.nan], [0.0, 0.0]]), zero(2), r"^L0 entries must be finite$"),
+            (zero(2), np.diag([np.inf, 0.0]), r"^H0 entries must be finite$"),
+            (zero(2), np.zeros((4, 4)), r"^L0 dimension does not match H0$"),
+            (zero(2), np.array([[0.0, 1.0], [0.0, 0.0]]), r"^H0 is not Hermitian \(defect"),
+        ],
+        ids=["l0-not-square", "h0-not-a-matrix", "empty", "l0-nan", "h0-inf",
+             "shape-mismatch", "h0-not-hermitian"],
+    )
+    def test_operator_arrays_refused(self, l0, h0, message):
+        with pytest.raises(ValueError, match=message):
+            SLHModel.factored(np.eye(1), [1.0], l0, h0)
+
+    def test_arrays_are_read_only_copies(self):
+        l0 = sigma_minus().mat.copy()
+        m = SLHModel.factored(np.eye(1), [1.0], l0, zero(2))
+        l0[0, 1] = 5.0  # the caller's array is not the model's
+        assert m.L0[0, 1] == 1.0
+        for arr in (m.S, m.theta, m.L0, m.H0):
+            assert isinstance(arr, np.ndarray) and arr.dtype == complex
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_non_finite_scattering_rejected(self):
+        with pytest.raises(ValueError, match="^S entries must be finite$"):
+            SLHModel.factored(np.array([[np.nan]]), [1.0], sigma_minus(), zero(2))
+
+    def test_operators_and_their_arrays_build_one_model(self):
+        # the benchmark worker's call form: constructor Operators, scaled by a float
+        omega_c = 0.7317
+        theta = [0.6 + 0.2j, -0.3j]
+        ops = SLHModel.factored(BS50, theta, sigma_minus(), (omega_c / 2.0) * sigma_z())
+        arrays = SLHModel.factored(BS50, theta, sigma_minus().mat, (omega_c / 2.0) * sigma_z().mat)
+        for name in ("S", "theta", "L0", "H0"):
+            a, b = getattr(ops, name), getattr(arrays, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert json.dumps(validate_model(ops).to_dict()) == json.dumps(
+            validate_model(arrays).to_dict()
+        )
 
 
 class TestValidateModel:
@@ -212,7 +264,7 @@ class TestValidateModel:
         assert rep.params.h == 0.0
 
     def test_sigma_x_coupling_fails_annihilation(self):
-        sx = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         m = SLHModel.factored(np.array([[1.0]]), [1.0], sx, zero(2))
         rep = validate_model(m)
         assert not rep.passed
@@ -272,7 +324,7 @@ class TestSeriesProduct:
         out = series_product(passthrough, m)
         assert np.allclose(out.S, m.S)
         assert np.max(np.abs(couplings(out)[0] - couplings(m)[0])) == 0.0
-        assert np.max(np.abs(out.H0.mat - m.H0.mat)) == 0.0
+        assert np.max(np.abs(out.H0 - m.H0)) == 0.0
 
     def test_two_embedded_atoms_give_memory_hamiltonian(self):
         kappa, omega_c = 0.9, 1.1
@@ -289,7 +341,7 @@ class TestSeriesProduct:
             )
         ser = series_product(atom[1], atom[0])
         ref = joint_memory_model(kappa, omega_c)
-        assert np.max(np.abs(ser.H0.mat - ref.H0.mat)) < 1e-14
+        assert np.max(np.abs(ser.H0 - ref.H0)) < 1e-14
         assert np.max(np.abs(couplings(ser)[0] - couplings(ref)[0])) < 1e-14
 
     def test_hand_expanded_two_cavity_series(self):
@@ -304,9 +356,9 @@ class TestSeriesProduct:
         assert out.S[0, 0] == pytest.approx(s2 * s1)
         expected_l = c2 * sigma_minus().mat + s2 * c1 * sigma_minus().mat
         assert np.allclose(couplings(out)[0], expected_l, atol=1e-15)
-        cross = np.conj(c2) * s2 * c1 * (sigma_plus() @ sigma_minus()).mat
+        cross = np.conj(c2) * s2 * c1 * (sigma_plus().mat @ sigma_minus().mat)
         expected_h = h1.mat + h2.mat + (cross - cross.conj().T) / 2j
-        assert np.allclose(out.H0.mat, expected_h, atol=1e-15)
+        assert np.allclose(out.H0, expected_h, atol=1e-15)
 
     def test_associativity(self):
         models = [two_level_model(k, w) for k, w in ((0.5, 0.2), (1.1, -0.7), (2.0, 1.5))]
@@ -314,7 +366,7 @@ class TestSeriesProduct:
         right = series_product(series_product(models[2], models[1]), models[0])
         assert np.max(np.abs(left.S - right.S)) < 1e-12
         assert np.max(np.abs(couplings(left)[0] - couplings(right)[0])) < 1e-12
-        assert np.max(np.abs(left.H0.mat - right.H0.mat)) < 1e-12
+        assert np.max(np.abs(left.H0 - right.H0)) < 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(k=st.integers(1, 3), embedded=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -341,13 +393,13 @@ class TestSeriesProduct:
             expected = l2[i] + sum(s2[i, j] * l1[j] for j in range(k))
             assert np.max(np.abs(op - expected)) <= 1e-12
         cross = sum(s2[i, j] * (l2[i].conj().T @ l1[j]) for i in range(k) for j in range(k))
-        expected_h = g1.H0.mat + g2.H0.mat + (cross - cross.conj().T) / 2j
-        assert np.max(np.abs(out.H0.mat - expected_h)) <= 1e-12
+        expected_h = g1.H0 + g2.H0 + (cross - cross.conj().T) / 2j
+        assert np.max(np.abs(out.H0 - expected_h)) <= 1e-12
         back = model_from_dict(json.loads(json.dumps(model_to_dict(out))))
         assert np.array_equal(back.S, out.S)
         assert np.array_equal(back.theta, out.theta)
-        assert np.array_equal(back.L0.mat, out.L0.mat)
-        assert np.array_equal(back.H0.mat, out.H0.mat)
+        assert np.array_equal(back.L0, out.L0)
+        assert np.array_equal(back.H0, out.H0)
 
     def test_non_factoring_result_refused(self):
         first, second = embedded_two_channel_pair()
@@ -376,7 +428,7 @@ class TestFeedbackReduce:
         assert red.theta[0] == pytest.approx(np.sqrt(k1) + np.sqrt(k2))
         # real scattering: no shift, Hamiltonian untouched
         assert feedback_shift(m) == 0.0
-        assert np.array_equal(red.H0.mat, m.H0.mat)
+        assert np.array_equal(red.H0, m.H0)
         rep = validate_model(red)
         assert rep.passed
         assert rep.params.a == pytest.approx(
@@ -423,12 +475,12 @@ class TestModelJson:
         back = model_from_dict(doc)
         assert np.array_equal(back.S, m.S)
         assert np.array_equal(back.theta, m.theta)
-        assert np.array_equal(back.L0.mat, m.L0.mat)
-        assert np.array_equal(back.H0.mat, m.H0.mat)
+        assert np.array_equal(back.L0, m.L0)
+        assert np.array_equal(back.H0, m.H0)
         path = tmp_path / "model.json"
         save_model(m, path)
         again = load_model(path)
-        assert np.array_equal(again.H0.mat, m.H0.mat)
+        assert np.array_equal(again.H0, m.H0)
 
     def test_unknown_keys_ignored(self):
         doc = model_to_dict(two_level_model(1.0, 0.0))

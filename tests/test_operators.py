@@ -4,19 +4,27 @@ import pytest
 from photon_slh import (
     Operator,
     SLHModel,
-    commutator,
     embed_site,
-    ground_state,
-    identity,
     sigma_minus,
     sigma_plus,
     sigma_z,
     validate_model,
-    zero,
 )
 from photon_slh.model import _fit
-from photon_slh.operators import TENSOR_DIM_CAP, basis_state
+from photon_slh.operators import TENSOR_DIM_CAP
 from conftest import two_level_model
+
+ZERO2 = np.zeros((2, 2), dtype=complex)
+
+
+def ket(dim: int, index: int) -> np.ndarray:
+    """Basis vector ``index`` of C^dim; ``ket(dim, 0)`` is the ground state."""
+    return np.eye(dim, dtype=complex)[index]
+
+
+def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[A, B] = AB - BA``."""
+    return a @ b - b @ a
 
 
 class TestOperator:
@@ -31,47 +39,39 @@ class TestOperator:
     def test_scalar_as_operator_allowed(self):
         assert Operator(np.array([[2.0]])).dim == 1
 
-    def test_dagger_and_norm(self):
-        a = Operator(np.array([[0.0, 1.0j], [0.0, 0.0]]))
-        assert np.array_equal(a.dagger().mat, np.array([[0.0, 0.0], [-1.0j, 0.0]]))
-        assert np.linalg.norm(a.mat) == pytest.approx(1.0)
-
-    def test_matmul_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            identity(2) @ identity(3)
-
     def test_entries_are_immutable(self):
-        a = identity(2)
+        a = sigma_z()
         with pytest.raises(ValueError):
             a.mat[0, 0] = 5.0
 
+    def test_scaling_and_array_conversion(self):
+        # the two uses a model makes of a constructor: c * op, then np.array(op)
+        half = 0.5 * sigma_z()
+        assert isinstance(half, Operator)
+        assert np.array_equal(half.mat, np.diag([-0.5, 0.5]))
+        assert np.array_equal((sigma_z() * 0.5).mat, half.mat)
+        arr = np.array(half, dtype=complex)
+        assert np.array_equal(arr, half.mat)
+        arr[0, 0] = 7.0  # a copy: the operator is untouched
+        assert half.mat[0, 0] == -0.5
+        assert np.asarray(half).flags.writeable is False
+
 
 class TestCommutator:
-    def test_raising_lowering_gives_sigma_z(self):
-        assert np.array_equal(commutator(sigma_plus(), sigma_minus()).mat, sigma_z().mat)
-        # acting on the ground state this is -|0>
-        e0 = ground_state(2)
-        assert np.array_equal(commutator(sigma_plus(), sigma_minus()).mat @ e0, -e0)
+    """The qubit constructors' sign conventions, through the commutators that the
+    condition checker forms from them."""
 
-    def test_self_commutator_vanishes(self):
-        a = Operator(np.array([[1.0, 2.0], [3.0, 4.0j]]))
-        assert np.array_equal(commutator(a, a).mat, np.zeros((2, 2)))
+    def test_raising_lowering_gives_sigma_z(self):
+        sp, sm = sigma_plus().mat, sigma_minus().mat
+        assert np.array_equal(comm(sp, sm), sigma_z().mat)
+        # acting on the ground state this is -|0>
+        e0 = ket(2, 0)
+        assert np.array_equal(comm(sp, sm) @ e0, -e0)
 
     def test_lowering_with_sigma_z(self):
         # hand 2x2 multiplication: sm.sz - sz.sm = [[0, 2], [0, 0]]
         expected = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
-        assert np.array_equal(commutator(sigma_minus(), sigma_z()).mat, expected)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            commutator(identity(2), identity(4))
-
-    def test_antisymmetry(self, rng):
-        for _ in range(20):
-            a = Operator(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-            b = Operator(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-            defect = commutator(a, b).mat + commutator(b, a).mat
-            assert np.max(np.abs(defect)) < 1e-14
+        assert np.array_equal(comm(sigma_minus().mat, sigma_z().mat), expected)
 
 
 class TestVectorEigenTest:
@@ -80,22 +80,22 @@ class TestVectorEigenTest:
     def test_ground_state_energy(self):
         omega_c = 1.7
         h0 = (omega_c / 2.0) * sigma_z()
-        lam, residual = _fit(h0.mat @ ground_state(2), ground_state(2))
+        lam, residual = _fit(h0.mat @ ket(2, 0), ket(2, 0))
         assert residual <= 1e-10
         assert lam == pytest.approx(-omega_c / 2.0)
         assert validate_model(two_level_model(1.0, omega_c)).params.alpha == lam
 
     def test_identity_trivial(self, rng):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        lam, residual = _fit(identity(4).mat @ v, v)
+        lam, residual = _fit(np.eye(4) @ v, v)
         assert lam == pytest.approx(1.0)
         assert residual == 0.0
 
     def test_raising_on_ground_state_fails(self):
-        lam, residual = _fit(sigma_plus().mat @ ground_state(2), ground_state(2))
+        lam, residual = _fit(sigma_plus().mat @ ket(2, 0), ket(2, 0))
         assert residual == pytest.approx(1.0)
         assert lam == pytest.approx(0.0)
-        sx = sigma_plus() + sigma_minus()
+        sx = sigma_plus().mat + sigma_minus().mat
         rep = validate_model(SLHModel.factored(np.eye(1), [1.0], sigma_minus(), sx))
         rep = rep.conditions["ground_energy"]
         assert not rep.holds
@@ -119,29 +119,29 @@ class TestRowProportionalityTest:
 
     def test_commutator_rate(self):
         omega_c = 2.3
-        a = commutator(sigma_minus(), (omega_c / 2.0) * sigma_z())
-        e0 = ground_state(2)
-        lam, residual = _fit(e0 @ a.mat, e0 @ sigma_minus().mat)
+        a = comm(sigma_minus().mat, ((omega_c / 2.0) * sigma_z()).mat)
+        e0 = ket(2, 0)
+        lam, residual = _fit(e0 @ a, e0 @ sigma_minus().mat)
         assert residual <= 1e-10
         assert lam == pytest.approx(omega_c)
         assert validate_model(two_level_model(1.0, omega_c)).params.beta == lam
 
     def test_zero_numerator(self):
-        e0 = ground_state(2)
-        assert _fit(e0 @ zero(2).mat, e0 @ sigma_minus().mat) == (0.0, 0.0)
+        e0 = ket(2, 0)
+        assert _fit(e0 @ ZERO2, e0 @ sigma_minus().mat) == (0.0, 0.0)
 
     def test_sigma_z_not_proportional(self):
-        e0 = ground_state(2)
+        e0 = ket(2, 0)
         _, residual = _fit(e0 @ sigma_z().mat, e0 @ sigma_minus().mat)
         assert residual == pytest.approx(1.0)
 
     def test_zero_reference_row(self):
         # <0|B = 0: the fit is lambda = 0 with residual ||<0|A||, so the relation
         # holds only when <0|A = 0 too
-        e0 = ground_state(2)
-        assert _fit(e0 @ zero(2).mat, e0 @ zero(2).mat) == (0.0, 0.0)
-        assert _fit(e0 @ sigma_z().mat, e0 @ zero(2).mat) == (0.0, 1.0)
-        decoupled = SLHModel.factored(np.array([[1.0]]), [0.0], zero(2), sigma_z())
+        e0 = ket(2, 0)
+        assert _fit(e0 @ ZERO2, e0 @ ZERO2) == (0.0, 0.0)
+        assert _fit(e0 @ sigma_z().mat, e0 @ ZERO2) == (0.0, 1.0)
+        decoupled = SLHModel.factored(np.array([[1.0]]), [0.0], ZERO2, sigma_z())
         rep = validate_model(decoupled).conditions["commutator_proportional"]
         assert rep.holds and rep.residual == 0.0
 
@@ -175,11 +175,11 @@ class TestEmbedSite:
 
     def test_exchange_moves_excitation(self):
         # lower site 0, raise site 1: |1,0> -> |0,1> (4x4 matrix-vector oracle)
-        op = embed_site(sigma_minus(), 0, 2) @ embed_site(sigma_plus(), 1, 2)
-        ket_10 = np.kron(basis_state(2, 1), basis_state(2, 0))
-        ket_01 = np.kron(basis_state(2, 0), basis_state(2, 1))
-        assert np.array_equal(op.mat @ ket_10, ket_01)
-        assert np.array_equal(op.mat @ ket_01, np.zeros(4))
+        op = embed_site(sigma_minus(), 0, 2).mat @ embed_site(sigma_plus(), 1, 2).mat
+        ket_10 = np.kron(ket(2, 1), ket(2, 0))
+        ket_01 = np.kron(ket(2, 0), ket(2, 1))
+        assert np.array_equal(op @ ket_10, ket_01)
+        assert np.array_equal(op @ ket_01, np.zeros(4))
 
     def test_cap_exceeded(self):
         with pytest.raises(ValueError, match=str(TENSOR_DIM_CAP)):
@@ -191,8 +191,13 @@ class TestEmbedSite:
 
     def test_distinct_sites_commute(self, rng):
         for _ in range(5):
-            a = Operator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            b = Operator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            ea = embed_site(a, 0, 3)
-            eb = embed_site(b, 2, 3)
-            assert np.linalg.norm(commutator(ea, eb).mat) < 1e-13
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            ea = embed_site(a, 0, 3).mat
+            eb = embed_site(b, 2, 3).mat
+            assert np.linalg.norm(comm(ea, eb)) < 1e-13
+
+    def test_array_and_operator_embed_alike(self):
+        assert np.array_equal(embed_site(sigma_z().mat, 1, 2).mat, embed_site(sigma_z(), 1, 2).mat)
+        with pytest.raises(ValueError, match="square"):
+            embed_site(np.zeros((2, 3)), 0, 2)

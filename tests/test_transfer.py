@@ -52,9 +52,10 @@ class TestFromModel:
         assert g == pytest.approx(-1.0, abs=1e-14)
 
     def test_invalid_model_raises_with_report(self):
-        from photon_slh import SLHModel, zero
+        from photon_slh import SLHModel
 
-        m = SLHModel.factored(np.array([[1.0]]), [0.0], zero(2), zero(2))
+        zero = np.zeros((2, 2))
+        m = SLHModel.factored(np.array([[1.0]]), [0.0], zero, zero)
         with pytest.raises(ModelValidationError) as err:
             from_model(m)
         assert "stability" in err.value.report.failed_conditions()
