@@ -22,10 +22,12 @@ over-deep cascade among them.  Per command it keeps
 A traceback is kept as its last line, since its file paths and line numbers
 name the tree, not the behaviour.
 
-``diff`` prints one line per command.  Exit codes, stderr, CSV headers, row
-counts, JSON keys and every non-numeric value must match exactly; for each
-numeric CSV column and JSON number it prints the maximum absolute difference.
-It exits 1 when anything that must match exactly differs, else 0.
+``diff`` prints one line per command, of this script's list and of every
+command recorded in either tree.  A command recorded in only one tree
+differs (``only in A``).  Exit codes, stderr, CSV headers, row counts, JSON
+keys and every non-numeric value must match exactly; for each numeric CSV
+column and JSON number it prints the maximum absolute difference.  It exits 1
+when anything that must match exactly differs, else 0.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ MODELS = {
     "k2_swap": _model([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], [0.5, 0.9], -0.2),
     "site0": _site(0, 1.0, 0.8),
     "site1": _site(1, 0.7, 0.5),
-    "high_q": _model([[[1.0, 0.0]]], [0.1], 100.0),  # kappa 0.01: the self-test fails
+    "high_q": _model([[[1.0, 0.0]]], [0.1], 100.0),  # kappa 0.01: Q = 2e4
     "q2000": _model([[[1.0, 0.0]]], [0.1], 10.0),  # Q = 2 omega_c / kappa
     "q3000": _model([[[1.0, 0.0]]], [0.1], 15.0),
     "unstable": _model([[[1.0, 0.0]]], [0.0], 0.8),  # no coupling: stability fails
@@ -144,7 +146,6 @@ def _commands():
                               "-o", "err_c1025.csv"]),
         ("err_pulse_nan", ["shape", "models/k1.json", "--pulse", "gaussian:t0=nan",
                            "-o", "err_nan.csv"]),
-        ("err_high_q", ["shape", "models/high_q.json", "-o", "err_high_q.csv"]),
         ("err_feedback_singular", ["oracle", "feedback-g", "--s", *"1 0 0 0 0 0 1 0".split()]),
         ("err_feedback_non_unitary", ["oracle", "feedback-g", "--s", *"0 0 2 0 2 0 0 0".split(),
                                       "--omega", "0:1:2"]),
@@ -200,6 +201,9 @@ def _commands():
                             "-o", "err_band_q3000.csv"]),
         ("shape_band_q2000", ["shape", "models/q2000.json", "--pulse", "rising_exp",
                               "-o", "band_q2000.csv"]),
+        # Q = 2e4 shapes and sweeps across its pole at w = -100
+        ("shape_high_q", ["shape", "models/high_q.json", "-o", "high_q.csv"]),
+        ("sweep_high_q", ["sweep", "models/high_q.json", "--omega=-100.1:-99.9:41"]),
         # the kernel is causal; the model is loaded before --tol is checked
         ("err_kernel_negative_t", ["oracle", "memory-kernel", "--t=-1:0:3"]),
         ("err_missing_model_tol_nan", ["shape", "models/missing.json", "--tol", "nan",
@@ -346,22 +350,36 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _recorded(root: str) -> set:
+    """The commands recorded under ``root``: its directories that hold an ``exit`` file."""
+    return {name for name in os.listdir(root) if os.path.isfile(os.path.join(root, name, "exit"))}
+
+
+def _compare_command(pa: str, pb: str, diffs: dict, faults: list) -> None:
+    files_a, files_b = sorted(os.listdir(pa)), sorted(os.listdir(pb))
+    if files_a != files_b:
+        faults.append(f"files {files_a} vs {files_b}")
+    for part in ("exit", "stderr"):
+        if _read(os.path.join(pa, part)) != _read(os.path.join(pb, part)):
+            faults.append(f"{part}: {_read(os.path.join(pa, part))!r} vs "
+                          f"{_read(os.path.join(pb, part))!r}")
+    for f in sorted(set(files_a) & set(files_b) - {"exit", "stderr"}):
+        _compare_text(_read(os.path.join(pa, f)), _read(os.path.join(pb, f)), f, diffs, faults)
+
+
 def diff(dir_a: str, dir_b: str) -> int:
+    in_a, in_b = _recorded(dir_a), _recorded(dir_b)
     names = [name for name, _ in _commands()]
+    names += sorted((in_a | in_b) - set(names))
     failed = 0
     overall = 0.0
     for name in names:
-        pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
         faults, diffs = [], {}
-        files_a, files_b = sorted(os.listdir(pa)), sorted(os.listdir(pb))
-        if files_a != files_b:
-            faults.append(f"files {files_a} vs {files_b}")
-        for part in ("exit", "stderr"):
-            if _read(os.path.join(pa, part)) != _read(os.path.join(pb, part)):
-                faults.append(f"{part}: {_read(os.path.join(pa, part))!r} vs "
-                              f"{_read(os.path.join(pb, part))!r}")
-        for f in sorted(set(files_a) & set(files_b) - {"exit", "stderr"}):
-            _compare_text(_read(os.path.join(pa, f)), _read(os.path.join(pb, f)), f, diffs, faults)
+        if name in in_a and name in in_b:
+            _compare_command(os.path.join(dir_a, name), os.path.join(dir_b, name), diffs, faults)
+        else:
+            faults.append("only in A" if name in in_a else "only in B" if name in in_b
+                          else "in neither A nor B")
         worst = max(diffs.values(), default=0.0)
         overall = max(overall, worst)
         if faults:

@@ -51,6 +51,15 @@ class TestFromModel:
         g = f.response_matrix(np.array([-wc]))[0, 0, 0]
         assert g == pytest.approx(-1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("kappa, wc", [(1.29, 1.1e4), (0.01, 50.0), (0.01, 100.0), (0.01, 1e3)])
+    def test_high_q_stage(self, kappa, wc):
+        # validated models with Q = 2 wc / kappa from 1e4 to 2e5 build their filter,
+        # and its response across the pole is the closed form
+        f = from_model(two_level_model(kappa, wc))
+        ws = -wc + kappa * np.linspace(-10.0, 10.0, 401)
+        got = f.response_matrix(ws)[:, 0, 0]
+        assert np.max(np.abs(got - two_level_g(TwoLevelParams(kappa, wc), ws))) < 1e-12
+
     def test_invalid_model_raises_with_report(self):
         from photon_slh import SLHModel
 
@@ -153,7 +162,7 @@ class TestStage:
     @settings(max_examples=200, deadline=None)
     @given(
         kappa=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3),
-        quality=st.floats(-30.0, 30.0),
+        quality=st.floats(-1e5, 1e5),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_h_matches_validate_model(self, kappa, quality, seed):
