@@ -3,7 +3,8 @@
     python3 scripts/golden_cli.py run ROOT OUT   # record ROOT's CLI output in OUT
     python3 scripts/golden_cli.py diff A B       # compare two recorded directories
 
-``run`` writes a fixed set of model files into ``OUT/models``, and into
+``run`` writes a fixed set of model files into ``OUT/models`` (malformed ones
+among them), and into
 ``OUT/pulses`` a pulse CSV whose energy overflows, and runs a fixed
 list of commands, each as ``python -m photon_slh.cli`` with ``ROOT/src`` on
 ``PYTHONPATH`` and ``OUT`` as the working directory, so every path in the
@@ -16,8 +17,8 @@ grids of ``shape`` and ``oracle inverting-pulse``,
 sites, a matched pulse on either side of the grid's band, oracle tables
 whose values test the CSV writer's float text (exact halves, powers of ten,
 extreme and subnormal magnitudes, -0.0), and the error exits, unread and
-conflicting oracle flags, malformed pulse parameters, over-long ranges and an
-over-deep cascade among them.  Per command it keeps
+conflicting oracle flags, malformed pulse parameters and model files,
+over-long ranges and an over-deep cascade among them.  Per command it keeps
 ``OUT/<name>/exit``, ``stdout``, ``stderr`` and the files the command wrote.
 A traceback is kept as its last line, since its file paths and line numbers
 name the tree, not the behaviour.
@@ -89,7 +90,14 @@ MODELS = {
     "q2000": _model([[[1.0, 0.0]]], [0.1], 10.0),  # Q = 2 omega_c / kappa
     "q3000": _model([[[1.0, 0.0]]], [0.1], 15.0),
     "unstable": _model([[[1.0, 0.0]]], [0.0], 0.8),  # no coupling: stability fails
+    # a pair of S as an object, as three numbers and as two booleans
+    "pair_object": _model([[{"re": 1.0, "im": 0.0}]], [1.0], 0.8),
+    "pair_three": _model([[[1.0, 0.0, 7.0]]], [1.0], 0.8),
+    "pair_booleans": _model([[[True, False]]], [1.0], 0.8),
 }
+
+#: Model files written as text: JSON nested past the parser's recursion limit.
+RAW_MODELS = {"deep": "[" * 100000 + "]" * 100000}
 
 
 def _commands():
@@ -239,6 +247,11 @@ def _commands():
                                "-o", "csv_k2_both.csv"]),
         ("err_csv_energy_overflow", ["shape", "models/k1.json", "--pulse",
                                      "csv:pulses/overflow.csv", "-o", "err_overflow.csv"]),
+        # malformed model files
+        ("err_pair_object", ["validate", "models/pair_object.json"]),
+        ("err_pair_three_numbers", ["validate", "models/pair_three.json"]),
+        ("err_pair_booleans", ["validate", "models/pair_booleans.json"]),
+        ("err_deep_nesting", ["validate", "models/deep.json"]),
     ]
     return cmds
 
@@ -266,6 +279,9 @@ def run(root: str, out: str) -> None:
     for name, doc in MODELS.items():
         with open(os.path.join(out, "models", f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+    for name, text in RAW_MODELS.items():
+        with open(os.path.join(out, "models", f"{name}.json"), "w", encoding="utf-8") as fh:
+            fh.write(text)
     os.makedirs(os.path.join(out, "pulses"))
     with open(os.path.join(out, "pulses", "overflow.csv"), "w", encoding="utf-8") as fh:
         fh.write(_overflow_pulse())

@@ -106,7 +106,7 @@ def _load_model_checked(path):
         ) from exc
     except OSError as exc:
         raise CLIError(f"{path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # json.load recurses once per nesting level
         raise CLIError(f"{path}: {exc}") from exc
 
 
@@ -206,12 +206,8 @@ def _cmd_compose(args) -> int:
     else:
         m = _load_model_checked(args.feedback)
         delta = feedback_shift(m)
-        reduced = feedback_reduce(m)
-        doc = model_to_dict(reduced)
-        doc["feedback"] = {
-            "delta": delta,
-            "theta_reduced": [[c.real, c.imag] for c in reduced.theta],
-        }
+        doc = model_to_dict(feedback_reduce(m))
+        doc["feedback"] = {"delta": delta, "theta_reduced": doc["theta"]}
     text = json.dumps(doc, indent=2)
     if args.output is None:
         print(text)
@@ -256,13 +252,7 @@ _SCATTERING_PRESETS = {
 
 def _scattering_from_args(args) -> np.ndarray:
     if args.s is not None:
-        vals = args.s
-        return np.array(
-            [
-                [complex(vals[0], vals[1]), complex(vals[2], vals[3])],
-                [complex(vals[4], vals[5]), complex(vals[6], vals[7])],
-            ]
-        )
+        return np.array(args.s).view(complex).reshape(2, 2)
     return _SCATTERING_PRESETS[args.scattering]
 
 

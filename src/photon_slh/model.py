@@ -84,7 +84,7 @@ class SingularLoopError(ValueError):
     """Feedback loop ``1 - S22`` is (numerically) singular."""
 
 
-def _square_matrix(x, name: str) -> np.ndarray:
+def square_matrix(x, name: str) -> np.ndarray:
     """``x`` as a read-only complex square matrix of at least 1x1 with finite
     entries; raises :class:`ValueError` naming ``name`` otherwise."""
     m = np.array(x, dtype=complex)
@@ -121,9 +121,9 @@ class SLHModel:
     H0: np.ndarray
 
     def __post_init__(self) -> None:
-        l0 = _square_matrix(self.L0, "L0")
-        h0 = _square_matrix(self.H0, "H0")
-        s = _square_matrix(self.S, "S")
+        l0 = square_matrix(self.L0, "L0")
+        h0 = square_matrix(self.H0, "H0")
+        s = square_matrix(self.S, "S")
         k = s.shape[0]
         th = np.array(self.theta, dtype=complex).reshape(-1)
         if th.shape != (k,):
@@ -241,10 +241,10 @@ class ValidationReport:
         if self.params is not None:
             p = self.params
             out["params"] = {
-                "alpha": [p.alpha.real, p.alpha.imag],
-                "beta": [p.beta.real, p.beta.imag],
+                "alpha": _encode_pairs(p.alpha),
+                "beta": _encode_pairs(p.beta),
                 "h": p.h,
-                "a": [p.a.real, p.a.imag],
+                "a": _encode_pairs(p.a),
             }
         return out
 
@@ -400,7 +400,7 @@ def feedback_reduce(m: SLHModel) -> SLHModel:
     theta_red = np.array([c1 + w * c2])
     shift = feedback_shift(m)
     h_red = m.H0 + shift * (m.L0.conj().T @ m.L0)
-    return SLHModel.factored(s_red, theta_red, m.L0, h_red)
+    return SLHModel(S=s_red, theta=theta_red, L0=m.L0, H0=h_red)
 
 
 # ---------------------------------------------------------------------------
@@ -409,38 +409,34 @@ def feedback_reduce(m: SLHModel) -> SLHModel:
 # ---------------------------------------------------------------------------
 
 
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
+def _encode_pairs(x) -> list:
+    """A complex scalar or array as nested lists of ``[re, im]`` pairs."""
+    return np.stack((x.real, x.imag), -1).tolist()
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _pairs_to_matrix(data, name: str, shape=None) -> np.ndarray:
+def _decode_pairs(field, name: str, shape: tuple) -> np.ndarray:
+    """The complex array of ``shape`` that ``field`` holds as ``[re, im]`` pairs of
+    numbers, bit for bit; raises :class:`ValueError` naming ``name`` otherwise."""
     try:
-        arr = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in data], dtype=complex
-        )
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"field '{name}' must be a matrix of [re, im] pairs") from exc
-    if arr.ndim != 2:
-        raise ValueError(f"field '{name}' must be two-dimensional")
-    if not np.all(np.isfinite(arr)):
+        arr = np.array(field)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != (*shape, 2):
+        dims = "x".join(map(str, shape))
+        raise ValueError(f"field '{name}' must hold {dims} [re, im] pairs of numbers")
+    if not np.isfinite(arr).all():
         raise ValueError(f"field '{name}' entries must be finite")
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"field '{name}' has shape {arr.shape}, expected {shape}")
-    return arr
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
 def model_to_dict(m: SLHModel) -> dict:
     return {
         "levels": m.levels,
         "channels": m.channels,
-        "S": _matrix_to_pairs(m.S),
-        "theta": [_pair(c) for c in m.theta],
-        "L0": _matrix_to_pairs(m.L0),
-        "H0": _matrix_to_pairs(m.H0),
+        "S": _encode_pairs(m.S),
+        "theta": _encode_pairs(m.theta),
+        "L0": _encode_pairs(m.L0),
+        "H0": _encode_pairs(m.H0),
     }
 
 
@@ -456,16 +452,13 @@ def model_from_dict(data: dict) -> SLHModel:
             raise ValueError(f"field '{key}' must be an integer, got {value!r}")
     if levels < 1 or channels < 1:
         raise ValueError("levels and channels must be positive")
-    s = _pairs_to_matrix(data["S"], "S", (channels, channels))
-    try:
-        theta = np.array([complex(c[0], c[1]) for c in data["theta"]], dtype=complex)
-    except (TypeError, IndexError) as exc:
-        raise ValueError("field 'theta' must be a list of [re, im] pairs") from exc
-    if theta.shape != (channels,):
-        raise ValueError(f"field 'theta' has length {theta.shape[0]}, expected {channels}")
-    l0 = _pairs_to_matrix(data["L0"], "L0", (levels, levels))
-    h0 = _pairs_to_matrix(data["H0"], "H0", (levels, levels))
-    return SLHModel.factored(s, theta, l0, h0)
+    square = (levels, levels)
+    return SLHModel(
+        S=_decode_pairs(data["S"], "S", (channels, channels)),
+        theta=_decode_pairs(data["theta"], "theta", (channels,)),
+        L0=_decode_pairs(data["L0"], "L0", square),
+        H0=_decode_pairs(data["H0"], "H0", square),
+    )
 
 
 def load_model(path) -> SLHModel:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import square_matrix
+
 __all__ = [
     "Operator",
     "sigma_z",
@@ -36,15 +38,7 @@ class Operator:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        if m.shape[0] < 1:
-            raise ValueError("operator dimension must be at least 1")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator entries must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", square_matrix(self.mat, "operator"))
 
     @property
     def dim(self) -> int:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SingularLoopError, SINGULAR_LOOP_TOL, require_unitary
+from .model import SingularLoopError, SINGULAR_LOOP_TOL, require_unitary, square_matrix
 
 __all__ = [
     "TwoLevelParams",
@@ -150,11 +150,9 @@ def feedback_g(S, kappa1: float, kappa2: float, omega_c: float, omega):
     if not (kappa1 > 0.0 and kappa2 > 0.0):
         raise ValueError("kappa1 and kappa2 must be positive")
     _require_finite(kappa1=kappa1, kappa2=kappa2, omega_c=omega_c)
-    s = np.asarray(S, dtype=complex)
+    s = square_matrix(S, "S")
     if s.shape != (2, 2):
         raise ValueError("S must be 2x2")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("S entries must be finite")
     require_unitary(s)
     denom = 1.0 - s[1, 1]
     if abs(denom) <= SINGULAR_LOOP_TOL:

@@ -114,6 +114,9 @@ class TestValidate:
             {"levels": 1e400},
             {"channels": 2.7},
             {"S": [[[float("nan"), 0.0]]]},
+            {"S": [[{"re": 1.0, "im": 0.0}]]},
+            {"S": [[[1.0, 0.0, 7.0]]]},
+            {"S": [[[True, False]]]},
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "shape"])
@@ -141,7 +144,7 @@ class TestValidate:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {path}: theta entries must be finite\n"
+        assert captured.err == f"error: {path}: field 'theta' entries must be finite\n"
         assert not out.exists()
 
 
@@ -663,6 +666,11 @@ class TestSweep:
     def test_bad_range(self, model_path):
         assert main(["sweep", str(model_path), "--omega", "0:1"]) == 1
         assert main(["sweep", str(model_path), "--omega", "0:1:0"]) == 1
+
+    @pytest.mark.parametrize("text", ["nan:1:3", "0:inf:3", "-inf:0:3"])
+    def test_non_finite_range_bound_exits_1(self, model_path, capsys, text):
+        assert main(["sweep", str(model_path), f"--omega={text}"]) == 1
+        assert capsys.readouterr().err == "error: --omega range must be finite\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -326,6 +326,15 @@ class TestSeriesProduct:
         assert np.max(np.abs(couplings(out)[0] - couplings(m)[0])) == 0.0
         assert np.max(np.abs(out.H0 - m.H0)) == 0.0
 
+    def test_uncoupled_models_give_zero_coupling(self):
+        # theta = 0 leaves no coupling to factor, whatever L0 is
+        dark = [SLHModel(S=BS50, theta=[0.0, 0.0], L0=sigma_minus(), H0=w * sigma_z())
+                for w in (0.3, 0.5)]
+        out = series_product(*dark)
+        assert np.array_equal(out.theta, np.zeros(2)) and np.array_equal(out.L0, zero(2))
+        assert np.array_equal(out.S, BS50 @ BS50)
+        assert np.array_equal(out.H0, 0.8 * sigma_z().mat)
+
     def test_two_embedded_atoms_give_memory_hamiltonian(self):
         kappa, omega_c = 0.9, 1.1
         sm, sz = sigma_minus(), sigma_z()

@@ -189,6 +189,10 @@ class TestEmbedSite:
         with pytest.raises(ValueError, match="out of range"):
             embed_site(sigma_minus(), 2, 2)
 
+    def test_needs_a_site(self):
+        with pytest.raises(ValueError, match="^n_sites must be at least 1$"):
+            embed_site(sigma_minus(), 0, 0)
+
     def test_distinct_sites_commute(self, rng):
         for _ in range(5):
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

@@ -114,6 +114,10 @@ class TestMemoryG:
 
 
 class TestMemoryKernel:
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            memory_kernel(0, TwoLevelParams(1.0, 0.0), 0.0)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="causal"):
             memory_kernel(1, TwoLevelParams(1.0, 0.0), -0.5)
@@ -246,6 +250,16 @@ class TestFeedbackG:
         # the loop is all-pass only for unitary S; 2 x SWAP gave |G|^2 = 16
         with pytest.raises(ValueError, match=r"^S is not unitary \(defect "):
             feedback_g(scale * SWAP, 1.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "s, message",
+        [(np.eye(3), r"^S must be 2x2$"),
+         (np.eye(2)[:1], r"^S must be square and at least 1x1, got shape \(1, 2\)$")],
+        ids=["3x3", "not-square"],
+    )
+    def test_scattering_shape_refused(self, s, message):
+        with pytest.raises(ValueError, match=message):
+            feedback_g(s, 1.0, 1.0, 0.0, 0.0)
 
     def test_unitary_within_structure_tolerance_accepted(self):
         g = feedback_g((1.0 + 1e-12) * SWAP, 1.0, 1.0, 0.0, np.array([0.0, 1.0]))

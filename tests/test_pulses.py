@@ -90,6 +90,22 @@ class TestTimeGrid:
         assert np.array_equal(g.times(), -1.0 + 0.25 * np.arange(8))
 
 
+class TestPulse:
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            (np.zeros(8), r"^samples must have shape \(n, K\) with n=16, got \(8, 1\)$"),
+            (np.zeros((16, 1, 1)),
+             r"^samples must have shape \(n, K\) with n=16, got \(16, 1, 1\)$"),
+            (np.full((16, 2), complex(0.0, np.inf)), r"^pulse samples must be finite$"),
+        ],
+        ids=["short", "three-dimensional", "infinite"],
+    )
+    def test_samples_refused(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            Pulse(grid=TimeGrid(t_start=0.0, dt=0.5, n=16), samples=samples)
+
+
 class TestFactories:
     def test_gaussian_norm(self):
         g = gaussian_pulse(offset_grid(40.0), t0=-3.0, sigma=1.0)
@@ -256,6 +272,10 @@ class TestPulseSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown pulse kind"):
             PulseSpec(kind="triangle")
+
+    def test_unknown_params(self):
+        with pytest.raises(ValueError, match=r"^unknown parameters for square: \['sigma', 't2'\]$"):
+            PulseSpec(kind="square", params={"t0": 0.0, "t2": 1.0, "sigma": 1.0})
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_params_must_be_finite(self, bad):
@@ -740,6 +760,23 @@ class TestCsvFormats:
         path = tmp_path / "bad.csv"
         path.write_text("t,ch,re,im\n" + body)
         with pytest.raises(ValueError):
+            read_pulse_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "contains no samples"),
+            ("\n  \n", "contains no samples"),
+            ("0.0,0,1.0\n1.0,0,1.0\n", "rows must have four fields: t,ch,re,im"),
+            ("0.0,0,1.0,0.0,0\n1.0,0,1.0,0.0,0\n", "rows must have four fields: t,ch,re,im"),
+            ("0.0,0,1.0,0.0\n", "needs at least two time samples"),
+        ],
+        ids=["header-only", "blank-lines-only", "three-fields", "five-fields", "one-time"],
+    )
+    def test_refusal_names_the_defect(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,ch,re,im\n" + body)
+        with pytest.raises(ValueError, match=f"^pulse CSV {message}$"):
             read_pulse_csv(path)
 
     def test_pulse_table_text(self, tmp_path):

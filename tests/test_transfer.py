@@ -250,6 +250,10 @@ class TestLossless:
 
 
 class TestCascade:
+    def test_needs_a_stage(self):
+        with pytest.raises(ValueError, match="^filter needs at least one stage$"):
+            PhotonTransfer(stages=())
+
     def test_two_stage_phase_doubles(self):
         kappa, wc = 1.0, 0.4
         f = from_model(two_level_model(kappa, wc))
