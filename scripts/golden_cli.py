@@ -13,11 +13,14 @@ both at K = 1 and 2 and cascade 1 and 3, by ode and both on grids coarse
 against the pole, ``csv:`` read-backs (of values down through the subnormals
 to -0.0, and of an energy that overflows), explicit ``--dt``/``--t-start``
 grids of ``shape`` and ``oracle inverting-pulse``,
+``shape`` of a K = 3 model with a non-diagonal S and complex couplings at
+cascade 2 by each method, and its ``sweep``,
 ``compose --series`` of two-level models at K = 1 and 2 and of two embedded
 sites, a matched pulse on either side of the grid's band, oracle tables
 whose values test the CSV writer's float text (exact halves, powers of ten,
 extreme and subnormal magnitudes, -0.0), and the error exits, unread and
-conflicting oracle flags, malformed pulse parameters and model files,
+conflicting oracle flags, malformed pulse parameters and model files (a
+boolean among the numbers of a field among them),
 over-long ranges and an over-deep cascade among them.  Per command it keeps
 ``OUT/<name>/exit``, ``stdout``, ``stderr`` and the files the command wrote.
 A traceback is kept as its last line, since its file paths and line numbers
@@ -52,7 +55,7 @@ def _model(s, theta, omega_c):
         "levels": 2,
         "channels": len(theta),
         "S": s,
-        "theta": [[t, 0.0] for t in theta],
+        "theta": [[complex(t).real, complex(t).imag] for t in theta],
         "L0": SIGMA_MINUS,
         "H0": [[[-half, 0.0], [0.0, 0.0]], [[0.0, 0.0], [half, 0.0]]],
     }
@@ -80,6 +83,20 @@ def _site(site, theta, omega_c):
     }
 
 
+def _dft3():
+    """The unitary 3-point DFT matrix, ``exp(2 pi i j k / 3) / sqrt(3)``, as pairs."""
+    return [[[math.cos(2 * math.pi * j * k / 3) / math.sqrt(3),
+              math.sin(2 * math.pi * j * k / 3) / math.sqrt(3)] for k in range(3)]
+            for j in range(3)]
+
+
+def _with_h0_entry(doc, value):
+    """``doc`` with ``value`` in place of the real part of ``H0[0][0]``."""
+    h0 = [[list(pair) for pair in row] for row in doc["H0"]]
+    h0[0][0][0] = value
+    return {**doc, "H0": h0}
+
+
 MODELS = {
     "k1": _model([[[1.0, 0.0]]], [1.0], 0.8),
     "k2": _model(BS50, [1.0, 0.6], 0.3),
@@ -94,6 +111,10 @@ MODELS = {
     "pair_object": _model([[{"re": 1.0, "im": 0.0}]], [1.0], 0.8),
     "pair_three": _model([[[1.0, 0.0, 7.0]]], [1.0], 0.8),
     "pair_booleans": _model([[[True, False]]], [1.0], 0.8),
+    # three channels: a non-diagonal unitary S and complex couplings
+    "k3": _model(_dft3(), [0.6, 0.5 + 0.3j, 0.4j], 0.5),
+    # a boolean among the numbers of H0
+    "bool_in_numbers": _with_h0_entry(_model([[[1.0, 0.0]]], [1.0], 0.8), False),
 }
 
 #: Model files written as text: JSON nested past the parser's recursion limit.
@@ -252,7 +273,12 @@ def _commands():
         ("err_pair_three_numbers", ["validate", "models/pair_three.json"]),
         ("err_pair_booleans", ["validate", "models/pair_booleans.json"]),
         ("err_deep_nesting", ["validate", "models/deep.json"]),
+        ("err_bool_in_numbers", ["validate", "models/bool_in_numbers.json"]),
     ]
+    for method in ("fft", "ode", "both"):
+        cmds.append((f"shape_k3_c2_{method}", ["shape", "models/k3.json", "--cascade", "2",
+                                               "--method", method, "-o", f"k3_c2_{method}.csv"]))
+    cmds.append(("sweep_k3", ["sweep", "models/k3.json", "--omega=-5:5:101"]))
     return cmds
 
 

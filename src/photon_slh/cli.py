@@ -40,8 +40,8 @@ from .oracles import (
 from .pulses import (
     PULSE_KINDS,
     GridSpanError,
-    Pulse,
     TimeGrid,
+    l2_norm,
     parse_pulse_spec,
     pulse_table,
     read_pulse_csv,
@@ -184,7 +184,7 @@ def _cmd_shape(args) -> int:
     }
     if len(outputs) == 2:
         diff = outputs["fft"].samples - outputs["ode"].samples
-        sidecar["l2_discrepancy"] = Pulse(grid, diff).norm()
+        sidecar["l2_discrepancy"] = l2_norm(diff, grid.dt)
     sidecar_path = f"{args.output}.json"
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)

@@ -37,6 +37,7 @@ the real scalar returned by :func:`feedback_shift`.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -414,14 +415,24 @@ def _encode_pairs(x) -> list:
     return np.stack((x.real, x.imag), -1).tolist()
 
 
+def _holds_bool(field, depth: int) -> bool:
+    """Whether a value ``depth`` levels into the nested sequences ``field`` is a bool."""
+    for _ in range(depth):
+        field = itertools.chain.from_iterable(field)
+    return bool in set(map(type, field))
+
+
 def _decode_pairs(field, name: str, shape: tuple) -> np.ndarray:
     """The complex array of ``shape`` that ``field`` holds as ``[re, im]`` pairs of
-    numbers, bit for bit; raises :class:`ValueError` naming ``name`` otherwise."""
+    numbers, bit for bit; raises :class:`ValueError` naming ``name`` otherwise.
+    numpy reads ``true`` among numbers as 1, so the pairs are searched for bools
+    once their nesting is known to match ``shape``."""
     try:
         arr = np.array(field)
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != (*shape, 2):
+    if (arr is None or arr.dtype.kind not in "iuf" or arr.shape != (*shape, 2)
+            or _holds_bool(field, len(shape))):
         dims = "x".join(map(str, shape))
         raise ValueError(f"field '{name}' must hold {dims} [re, im] pairs of numbers")
     if not np.isfinite(arr).all():

@@ -104,18 +104,36 @@ class TimeGrid:
 
     def omegas(self) -> np.ndarray:
         """FFT bin frequencies (rad/time), in FFT order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dt)
+        w = np.fft.fftfreq(self.n, d=self.dt)
+        w *= 2.0 * np.pi
+        return w
 
 
 @dataclass(frozen=True, eq=False)
 class Pulse:
-    """Sampled multi-channel pulse, shape ``(n, K)``."""
+    """Sampled multi-channel pulse, shape ``(n, K)``.
+
+    The constructor copies ``samples``, so the caller's array stays its own; the
+    pulse holds its copy read-only.
+    """
 
     grid: TimeGrid
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.array(self.samples, dtype=complex)
+        self._hold(np.array(self.samples, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, grid: TimeGrid, samples: np.ndarray) -> "Pulse":
+        """The pulse of ``samples``, a complex array that no one else holds: checked
+        as the constructor checks it, and kept without a copy."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "grid", grid)
+        p._hold(samples)
+        return p
+
+    def _hold(self, s: np.ndarray) -> None:
+        """Check the complex array ``s`` against the grid and keep it, read-only."""
         if s.ndim == 1:
             s = s[:, None]
         if s.ndim != 2 or s.shape[0] != self.grid.n:
@@ -133,16 +151,22 @@ class Pulse:
 
     def norm(self) -> float:
         """Discrete L2 norm, ``sqrt(sum_k sum_t |xi_k|^2 dt)``."""
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.dt))
+        return l2_norm(self.samples, self.grid.dt)
 
     def energy_fraction_before(self) -> float:
         """Fraction of total energy at times before ``t = 0``: where a unit step
         at 0 is zero, so a sample :func:`_step_up` puts on the cut is not before it."""
-        total = float(np.sum(np.abs(self.samples) ** 2))
+        power = np.abs(self.samples) ** 2
+        total = float(np.sum(power))
         if total == 0.0:
             return 0.0
         mask = _step_up(self.grid.times(), 0.0, self.grid.dt) == 0.0
-        return float(np.sum(np.abs(self.samples[mask]) ** 2) / total)
+        return float(np.sum(power[mask]) / total)
+
+
+def l2_norm(samples: np.ndarray, dt: float) -> float:
+    """Discrete L2 norm ``sqrt(sum |x|^2 dt)`` of an array of samples of step ``dt``."""
+    return float(np.sqrt(np.sum(np.abs(samples) ** 2) * dt))
 
 
 def _step_up(t: np.ndarray, edge: float, dt: float) -> np.ndarray:
@@ -158,7 +182,7 @@ def _mono(grid: TimeGrid, column: np.ndarray, channels: int, channel: int) -> Pu
         raise ValueError(f"channel {channel} out of range for {channels} channels")
     samples = np.zeros((grid.n, channels), dtype=complex)
     samples[:, channel] = column
-    return Pulse(grid=grid, samples=samples)
+    return Pulse._adopt(grid, samples)
 
 
 def gaussian_pulse(
@@ -376,6 +400,13 @@ def _check_span(p: Pulse, f: PhotonTransfer) -> None:
         )
 
 
+#: Rows per block of the shaping steps that act on each row alone (the filter
+#: response per frequency bin, the feedthrough ``S`` per sample), so that
+#: their temporaries hold a block (64 KiB per channel), not the pulse.  A
+#: row's result does not depend on the block it is computed in.
+_BLOCK_ROWS = 4096
+
+
 def _match_channels(p: Pulse, f: PhotonTransfer) -> None:
     if p.channels != f.channels:
         raise ValueError(
@@ -390,11 +421,24 @@ def shape_fft(p: Pulse, f: PhotonTransfer) -> Pulse:
     spectrum, feedthrough included, by ``G(i w)``.  Since the DFT is linear,
     the feedthrough part comes back as exactly ``S x``, up to rounding.
     Raises :class:`GridSpanError` when the kernel cannot settle on the grid.
+
+    The spectrum is filtered and inverted in place, in the array that the
+    returned pulse holds.
     """
     _match_channels(p, f)
     _check_span(p, f)
-    spec = f.apply(p.grid.omegas(), np.fft.fft(p.samples, axis=0))
-    return Pulse(grid=p.grid, samples=np.fft.ifft(spec, axis=0))
+    spec = np.empty(p.samples.shape, dtype=complex)
+    # One channel at a time: along the first axis of an (n, K) array, numpy's
+    # FFT holds two (n, K) scratch arrays; for one channel they are (n,).
+    for k in range(p.channels):
+        np.fft.fft(p.samples[:, k], out=spec[:, k])
+    w = p.grid.omegas()
+    for start in range(0, p.grid.n, _BLOCK_ROWS):
+        rows = spec[start : start + _BLOCK_ROWS]
+        f.apply(w[start : start + _BLOCK_ROWS], rows, out=rows)
+    for k in range(p.channels):
+        np.fft.ifft(spec[:, k], out=spec[:, k])
+    return Pulse._adopt(p.grid, spec)
 
 
 def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
@@ -426,7 +470,16 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
     """
     _match_channels(p, f)
     x = p.samples
-    dt = p.grid.dt
+    n, dt = p.grid.n, p.grid.dt
+    mix = np.empty((min(n, _BLOCK_ROWS), p.channels), dtype=complex)
+    eta = np.zeros(n, dtype=complex)  # eta[0] stays 0: each stage starts at rest
+    b = eta[1:]  # b[m] becomes eta[m + 1]
+    work = np.empty_like(eta)
+    tmp = work[1:]
+    # Temporaries first, the result last: the result outlives them, so freeing
+    # them leaves a hole below it rather than growing the heap's free top, which
+    # glibc's malloc returns to the system (fewer pages faulted in per call).
+    out = np.empty(x.shape, dtype=complex)
     for st in f.stages:
         z = st.a * dt
         if abs(z) < 0.5:
@@ -438,9 +491,6 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
             phi2 = (q - z) / z / z
             c0 = dt * (1.0 + (q + 1.0) * (z - 1.0)) / z / z
         c1 = dt * phi2
-        eta = np.zeros(x.shape[0], dtype=complex)
-        b = eta[1:]  # b[m] becomes eta[m + 1]
-        tmp = np.empty_like(b)
         x[:-1].dot(c0 * st.drive, out=b)
         b += x[1:].dot(c1 * st.drive, out=tmp)
         # After the level of stride s, b[m] sums the last 2s terms; p_s = r^s - 1.
@@ -449,9 +499,16 @@ def shape_ode(p: Pulse, f: PhotonTransfer) -> Pulse:
             np.multiply(b[:-s], 1.0 + p_s, out=tmp[:-s])
             b[s:] += tmp[:-s]
             p_s, s = p_s * (2.0 + p_s), 2 * s
-        x = x.dot(st.S.T)
-        x += np.multiply.outer(eta, st.theta)
-    return Pulse(grid=p.grid, samples=x)
+        # S xi through mix, block by block: after the first stage xi is out itself,
+        # which a product cannot overwrite while it reads it.  Then theta eta,
+        # one channel at a time, with no (n, K) temporary.
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            out[rows] = np.dot(x[rows], st.S.T, out=mix)
+        x = out
+        for k, theta_k in enumerate(st.theta):
+            out[:, k] += np.multiply(eta, theta_k, out=work)
+    return Pulse._adopt(p.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -821,13 +878,19 @@ def read_pulse_csv(path) -> Pulse:
     ch = table[:, 1]
     if np.any(ch < 0) or np.any(ch != np.floor(ch)):
         raise ValueError("pulse CSV channel numbers must be integers >= 0")
-    times, t_index = np.unique(table[:, 0], return_inverse=True)
+    times = np.unique(table[:, 0])
     n = times.size
     channels = int(ch.max()) + 1
     if n < 2:
         raise ValueError("pulse CSV needs at least two time samples")
     rows = table.shape[0]
-    key = t_index * channels + ch.astype(np.int64) if rows == n * channels else None
+    if rows == n * channels:
+        key = np.searchsorted(times, table[:, 0])  # each row's time index
+        key *= channels
+        key += ch.astype(np.int64)
+    else:
+        key = None
+    del ch
     if key is None or np.any(np.bincount(key) != 1):
         raise ValueError(
             f"pulse CSV must hold each (t, ch) row exactly once: {rows} rows "
@@ -840,10 +903,12 @@ def read_pulse_csv(path) -> Pulse:
     if np.any(np.abs(np.diff(times) - dt) > slack):
         raise ValueError("pulse CSV time grid is not uniform")
     grid = TimeGrid(t_start=float(times[0]), dt=float(dt), n=n)
-    samples = np.empty(n * channels, dtype=complex)
-    samples.real[key] = table[:, 2]
-    samples.imag[key] = table[:, 3]
-    p = Pulse(grid=grid, samples=samples.reshape(n, channels))
+    samples = np.empty((n, channels), dtype=complex)
+    flat = samples.reshape(-1)
+    flat.real[key] = table[:, 2]
+    flat.imag[key] = table[:, 3]
+    del table, key, flat
+    p = Pulse._adopt(grid, samples)
     with np.errstate(over="ignore"):
         if not math.isfinite(p.norm()):
             raise ValueError("pulse CSV energy sum |x|^2 dt is not finite")

@@ -92,18 +92,28 @@ class PhotonTransfer:
     def channels(self) -> int:
         return self.stages[0].channels
 
-    def apply(self, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``G(i w_m)`` times row ``m`` of ``rows`` (shape ``(n, K)``), as a new array.
+    def apply(self, omegas: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
+        """``G(i w_m)`` times row ``m`` of ``rows`` (shape ``(n, K)``).
 
-        Per stage, on the rows ``y``: ``c = y . drive / (i w - a)``, ``y <- y S^T + c theta^T``.
+        The result is a new array, and ``rows`` is left as it is, unless the caller
+        passes ``out``, a complex array of that shape to receive it, which may be
+        ``rows`` itself.
+
+        Per stage, on the rows ``y``: ``c = y . drive / (i w - a)``, ``y <- y S^T + c theta^T``,
+        through buffers made once per call.
         """
         iw = 1j * np.asarray(omegas, dtype=float).reshape(-1)
+        if out is None:
+            out = np.empty(np.shape(rows), dtype=complex)
+        c, pole, mix = np.empty_like(iw), np.empty_like(iw), np.empty(out.shape, dtype=complex)
+        y = rows
         for st in self.stages:
-            c = rows.dot(st.drive)
-            c /= iw - st.a
-            rows = rows.dot(st.S.T)
-            rows += np.multiply.outer(c, st.theta)
-        return rows
+            np.dot(y, st.drive, out=c)
+            c /= np.subtract(iw, st.a, out=pole)
+            np.dot(y, st.S.T, out=mix)
+            np.add(mix, np.multiply(c[:, None], st.theta, out=out), out=out)
+            y = out
+        return out
 
     def response_matrix(self, omegas: np.ndarray) -> np.ndarray:
         """Cascade response ``G(i w)`` at each frequency, shape ``(n, K, K)``."""

@@ -105,6 +105,28 @@ class TestPulse:
         with pytest.raises(ValueError, match=message):
             Pulse(grid=TimeGrid(t_start=0.0, dt=0.5, n=16), samples=samples)
 
+    def test_constructor_copies(self, rng):
+        arr = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+        p = Pulse(grid=TimeGrid(t_start=0.0, dt=0.5, n=16), samples=arr)
+        assert not np.shares_memory(p.samples, arr)
+        assert arr.flags.writeable and not p.samples.flags.writeable
+        arr[0, 0] = 7.0
+        assert p.samples[0, 0] != 7.0
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_shaping_returns_arrays_of_its_own(self, rng, channels):
+        f = from_model(two_level_model(1.0, 0.5) if channels == 1
+                       else two_channel_model(1.0, 0.6, 0.3))
+        f = PhotonTransfer(stages=f.stages * 2)
+        p = gaussian_pulse(offset_grid(60.0, 13), t0=-8.0, sigma=1.2, channels=channels)
+        before = p.samples.copy()
+        outputs = [shape_fft(p, f).samples, shape_ode(p, f).samples]
+        for out in outputs:
+            assert not out.flags.writeable
+            assert not np.shares_memory(out, p.samples)
+        assert not np.shares_memory(*outputs)
+        assert np.array_equal(p.samples, before)
+
 
 class TestFactories:
     def test_gaussian_norm(self):
@@ -1096,17 +1118,24 @@ class TestCsvRead:
     def test_memory_is_bounded_by_blocks(self, tmp_path):
         # Beyond the table and the per-block rows it is joined from, the parse holds
         # one block's arrays: never the file, nor any other array of its length.
+        # The checks and samples that read_pulse_csv forms from the table add less
+        # than a quarter of the table on top of that peak (seven eighths more, when
+        # it kept each row's time index and copied the samples into the pulse).
+        def peak(read, path):
+            tracemalloc.start()
+            try:
+                read(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         def excess(log2_n):
             grid = TimeGrid(t_start=-1.0, dt=2.0 / 2**log2_n, n=2**log2_n)
             path = tmp_path / f"pulse{log2_n}.csv"
             write_pulse_csv(Pulse(grid=grid, samples=np.full((grid.n, 2), 0.3 - 0.7j)), path)
-            tracemalloc.start()
-            try:
-                table = pulses._read_table(path)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert table.shape == (2 * grid.n, 4)
-            return peak - 2 * table.nbytes
+            table_bytes = 2 * grid.n * 4 * 8
+            parse = peak(pulses._read_table, path)
+            assert peak(read_pulse_csv, path) <= parse + table_bytes / 4
+            return parse - 2 * table_bytes
 
         assert excess(18) <= 1.25 * excess(14)

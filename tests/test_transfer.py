@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,3 +336,108 @@ class TestRankOneForm:
         ref = np.fft.ifft(np.einsum("nij,nj->ni", dense_response(f, grid.omegas()), spec), axis=0)
         out = shape_fft(Pulse(grid=grid, samples=x), f).samples
         assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+# The shaping routes filter in place, row block by row block, and transform one
+# channel at a time.  These whole-array forms of the same steps, a new array per
+# step, are the reference that they must match bit for bit.
+
+
+def whole_array_apply(f: PhotonTransfer, omegas, rows) -> np.ndarray:
+    iw = 1j * np.asarray(omegas, dtype=float).reshape(-1)
+    for st in f.stages:
+        c = rows.dot(st.drive)
+        c /= iw - st.a
+        rows = rows.dot(st.S.T)
+        rows += np.multiply.outer(c, st.theta)
+    return rows
+
+
+def whole_array_fft(p: Pulse, f: PhotonTransfer) -> np.ndarray:
+    omegas = 2.0 * np.pi * np.fft.fftfreq(p.grid.n, d=p.grid.dt)
+    return np.fft.ifft(whole_array_apply(f, omegas, np.fft.fft(p.samples, axis=0)), axis=0)
+
+
+def whole_array_ode(p: Pulse, f: PhotonTransfer) -> np.ndarray:
+    x, dt = p.samples, p.grid.dt
+    for st in f.stages:
+        z = st.a * dt
+        if abs(z) < 0.5:
+            phi2 = sum(z**k / math.factorial(k + 2) for k in range(18))
+            q = z * (1.0 + z * phi2)
+            c0 = dt * (1.0 + (z - 1.0) * phi2)
+        else:
+            q = complex(np.expm1(z))
+            phi2 = (q - z) / z / z
+            c0 = dt * (1.0 + (q + 1.0) * (z - 1.0)) / z / z
+        c1 = dt * phi2
+        eta = np.zeros(x.shape[0], dtype=complex)
+        b = eta[1:]
+        tmp = np.empty_like(b)
+        x[:-1].dot(c0 * st.drive, out=b)
+        b += x[1:].dot(c1 * st.drive, out=tmp)
+        p_s, s = q, 1
+        while s < b.shape[0]:
+            np.multiply(b[:-s], 1.0 + p_s, out=tmp[:-s])
+            b[s:] += tmp[:-s]
+            p_s, s = p_s * (2.0 + p_s), 2 * s
+        x = x.dot(st.S.T)
+        x += np.multiply.outer(eta, st.theta)
+    return x
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+@st.composite
+def shaping_case(draw):
+    """``(pulse, filter)``: a lossless cascade of depth 1-4, and random samples on
+    2 to 2^14 points over a span in which its slowest pole settles."""
+    f = draw(lossless_cascade().filter(lambda f: len(f.stages) <= 4))
+    n = 2 ** draw(st.integers(1, 14), label="log2 n")
+    span = 1.25 * np.log(1e-8) / max(s.a.real for s in f.stages)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="sample seed"))
+    x = rng.normal(size=(n, f.channels)) + 1j * rng.normal(size=(n, f.channels))
+    return Pulse(grid=TimeGrid(t_start=-span / 2, dt=span / n, n=n), samples=x), f
+
+
+class TestWholeArrayReference:
+    @settings(max_examples=80, deadline=None)
+    @given(case=shaping_case())
+    def test_shaping_matches_bit_for_bit(self, case):
+        p, f = case
+        assert same_bits(shape_fft(p, f).samples, whole_array_fft(p, f))
+        assert same_bits(shape_ode(p, f).samples, whole_array_ode(p, f))
+
+    @settings(max_examples=80, deadline=None)
+    @given(f=lossless_cascade().filter(lambda f: len(f.stages) <= 4),
+           m=st.integers(1, 9000), seed=st.integers(0, 2**32 - 1))
+    def test_response_matrix_matches_bit_for_bit(self, f, m, seed):
+        rng = np.random.default_rng(seed)
+        ws = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+        units = np.eye(f.channels, dtype=complex)
+        want = np.stack([whole_array_apply(f, ws, np.broadcast_to(e, (m, e.size))) for e in units], -1)
+        assert same_bits(f.response_matrix(ws), want)
+
+
+class TestApplyOwnership:
+    def test_input_left_as_it_is(self, rng):
+        f = PhotonTransfer(stages=(random_stage(rng, 2), random_stage(rng, 2)))
+        ws = rng.uniform(-5.0, 5.0, size=64)
+        rows = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
+        before = rows.copy()
+        got = f.apply(ws, rows)
+        assert same_bits(rows, before)
+        assert not np.shares_memory(got, rows)
+        assert same_bits(got, whole_array_apply(f, ws, before))
+
+    def test_out_may_be_the_input(self, rng):
+        f = PhotonTransfer(stages=(random_stage(rng, 3),) * 3)
+        ws = rng.uniform(-5.0, 5.0, size=64)
+        rows = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+        want = whole_array_apply(f, ws, rows)
+        assert f.apply(ws, rows, out=rows) is rows
+        assert same_bits(rows, want)
