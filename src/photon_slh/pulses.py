@@ -178,6 +178,7 @@ def _step_up(t: np.ndarray, edge: float, dt: float) -> np.ndarray:
 
 
 def _mono(grid: TimeGrid, column: np.ndarray, channels: int, channel: int) -> Pulse:
+    """The pulse of ``column``, real or complex, in ``channel`` and zero elsewhere."""
     if not 0 <= channel < channels:
         raise ValueError(f"channel {channel} out of range for {channels} channels")
     samples = np.zeros((grid.n, channels), dtype=complex)
@@ -199,7 +200,7 @@ def gaussian_pulse(
     # Far from t0 the square overflows to inf, and exp(-inf) is the right 0.
     with np.errstate(over="ignore"):
         col = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-((t - t0) ** 2) / (4.0 * sigma**2))
-    return _mono(grid, col.astype(complex), channels, channel)
+    return _mono(grid, col, channels, channel)
 
 
 def decaying_exp_pulse(
@@ -215,7 +216,7 @@ def decaying_exp_pulse(
     with np.errstate(over="ignore"):
         decay = np.exp(-0.5 * kappa * np.maximum(t - t_on, 0.0))
     col = np.sqrt(kappa) * decay * _step_up(t, t_on, grid.dt)
-    return _mono(grid, col.astype(complex), channels, channel)
+    return _mono(grid, col, channels, channel)
 
 
 def rising_exp_pulse(
@@ -251,7 +252,7 @@ def square_pulse(
         raise ValueError("square pulse needs t1 > t0")
     t = grid.times()
     col = (_step_up(t, t0, grid.dt) - _step_up(t, t1, grid.dt)) / np.sqrt(t1 - t0)
-    return _mono(grid, col.astype(complex), channels, channel)
+    return _mono(grid, col, channels, channel)
 
 
 def _lorentzian_out_of_band(dt: float, kappa: float, center: float) -> float:
@@ -403,7 +404,8 @@ def _check_span(p: Pulse, f: PhotonTransfer) -> None:
 #: Rows per block of the shaping steps that act on each row alone (the filter
 #: response per frequency bin, the feedthrough ``S`` per sample), so that
 #: their temporaries hold a block (64 KiB per channel), not the pulse.  A
-#: row's result does not depend on the block it is computed in.
+#: row's result does not depend on the block it is computed in.  Grids hold a
+#: power of two of samples, so a block is never cut short.
 _BLOCK_ROWS = 4096
 
 
@@ -429,7 +431,8 @@ def shape_fft(p: Pulse, f: PhotonTransfer) -> Pulse:
     _check_span(p, f)
     spec = np.empty(p.samples.shape, dtype=complex)
     # One channel at a time: along the first axis of an (n, K) array, numpy's
-    # FFT holds two (n, K) scratch arrays; for one channel they are (n,).
+    # FFT holds two (n, K) scratch arrays, which glibc's default trimming
+    # faults in afresh on every call; for one channel they are (n,).
     for k in range(p.channels):
         np.fft.fft(p.samples[:, k], out=spec[:, k])
     w = p.grid.omegas()
@@ -890,7 +893,6 @@ def read_pulse_csv(path) -> Pulse:
         key += ch.astype(np.int64)
     else:
         key = None
-    del ch
     if key is None or np.any(np.bincount(key) != 1):
         raise ValueError(
             f"pulse CSV must hold each (t, ch) row exactly once: {rows} rows "
@@ -907,7 +909,7 @@ def read_pulse_csv(path) -> Pulse:
     flat = samples.reshape(-1)
     flat.real[key] = table[:, 2]
     flat.imag[key] = table[:, 3]
-    del table, key, flat
+    del table, key
     p = Pulse._adopt(grid, samples)
     with np.errstate(over="ignore"):
         if not math.isfinite(p.norm()):

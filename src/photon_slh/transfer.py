@@ -100,18 +100,22 @@ class PhotonTransfer:
         ``rows`` itself.
 
         Per stage, on the rows ``y``: ``c = y . drive / (i w - a)``, ``y <- y S^T + c theta^T``,
-        through buffers made once per call.
+        through buffers made once per call.  ``c theta^T`` is formed channel-major,
+        so that numpy's loops run along the rows rather than along a length-K axis.
         """
         iw = 1j * np.asarray(omegas, dtype=float).reshape(-1)
         if out is None:
             out = np.empty(np.shape(rows), dtype=complex)
-        c, pole, mix = np.empty_like(iw), np.empty_like(iw), np.empty(out.shape, dtype=complex)
+        c, pole = np.empty_like(iw), np.empty_like(iw)
+        mix, ct = np.empty(out.shape, dtype=complex), np.empty(out.shape[::-1], dtype=complex)
         y = rows
         for st in self.stages:
             np.dot(y, st.drive, out=c)
             c /= np.subtract(iw, st.a, out=pole)
             np.dot(y, st.S.T, out=mix)
-            np.add(mix, np.multiply(c[:, None], st.theta, out=out), out=out)
+            np.multiply(c, st.theta[:, None], out=ct)
+            for k, ct_k in enumerate(ct):
+                np.add(mix[:, k], ct_k, out=out[:, k])
             y = out
         return out
 
